@@ -23,9 +23,7 @@
 #include "concurrency/bounded_queue.h"
 #include "core/barrierless_driver.h"
 #include "core/incremental.h"
-#include "core/inmemory_store.h"
-#include "core/kvstore.h"
-#include "core/spill_merge_store.h"
+#include "core/partial_store.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
 #include "mr/segment_codec.h"
@@ -165,6 +163,13 @@ MetricRow BenchFifoBatched(const std::vector<std::string>& segments,
           static_cast<double>(total_records) / secs, "records/sec"};
 }
 
+/// WordCount-shaped store fold: the key's count, updated in place.
+constexpr auto kIncrementCount = [](std::string* partial, bool fresh) {
+  int64_t n = 0;
+  if (!fresh) DecodeI64(Slice(*partial), &n);
+  *partial = EncodeI64(n + 1);
+};
+
 /// Fetch-to-reduce: decode + sink + drain + a WordCount-shaped fold
 /// into an in-memory store, i.e. the consumer does real per-record work
 /// against Slice keys (the transparent-lookup hot path).
@@ -172,8 +177,7 @@ MetricRow BenchFetchToReduce(const std::vector<std::string>& segments,
                              size_t total_records) {
   mr::FifoSink sink(mr::kDefaultShuffleFifoBatches,
                     mr::kDefaultShuffleBatchBytes);
-  core::StoreConfig config;
-  core::InMemoryStore store(config);
+  auto store = core::CreatePartialStore(core::StoreConfig());
   auto t0 = std::chrono::steady_clock::now();
   std::thread producer([&segments, &sink] {
     int map_task = 0;
@@ -185,17 +189,11 @@ MetricRow BenchFetchToReduce(const std::vector<std::string>& segments,
     }
     sink.fifo().Close();
   });
-  std::string partial;
   std::vector<mr::RecordBatch> batches;
   while (sink.fifo().PopAll(&batches) > 0) {
     for (const mr::RecordBatch& batch : batches) {
       for (const mr::RecordBatch::Entry& e : batch) {
-        int64_t n = 0;
-        bool found = false;
-        if (store.Get(e.key, &partial, &found).ok() && found) {
-          DecodeI64(Slice(partial), &n);
-        }
-        if (!store.Put(e.key, Slice(EncodeI64(n + 1))).ok()) break;
+        if (!store->Fold(e.key, kIncrementCount).ok()) break;
       }
     }
     batches.clear();
@@ -232,7 +230,7 @@ class NullEmitter final : public mr::ReduceEmitter {
 
 /// The instrumented barrier-less consume path exactly as the reduce
 /// task runs it — FifoSink, batched drain with queue-wait timing, a
-/// drain-cycle span, and the sampled store Get/Update/Put cycle —
+/// drain-cycle span, and the sampled store fold —
 /// driven with `tracer` either null (tracing off) or enabled.  The
 /// traced/untraced ratio is the ISSUE 5 acceptance gate: tracing on
 /// must retain >= 90% of the untraced throughput.
@@ -378,47 +376,30 @@ void BenchCodec(const std::vector<std::string>& segments,
                    lz4.records_per_sec / none.records_per_sec, "x"});
 }
 
-template <typename Store>
-double StoreOpsPerSec(Store& store, const std::vector<mr::Record>& records) {
-  std::string partial;
+double StoreOpsPerSec(const core::StoreConfig& config,
+                      const std::vector<mr::Record>& records) {
+  auto store = core::CreatePartialStore(config);
   auto t0 = std::chrono::steady_clock::now();
   for (const mr::Record& r : records) {
-    int64_t n = 0;
-    bool found = false;
-    if (store.Get(Slice(r.key), &partial, &found).ok() && found) {
-      DecodeI64(Slice(partial), &n);
-    }
-    if (!store.Put(Slice(r.key), Slice(EncodeI64(n + 1))).ok()) break;
+    if (!store->Fold(Slice(r.key), kIncrementCount).ok()) break;
   }
-  // One op = one Get+Put read-modify-update cycle.
+  // One op = one read-modify-update fold.
   return static_cast<double>(records.size()) / SecondsSince(t0);
 }
 
 void BenchStores(const std::vector<mr::Record>& records,
                  std::vector<MetricRow>* rows) {
-  {
-    core::StoreConfig config;
-    core::InMemoryStore store(config);
-    rows->push_back({"store", "inmemory_ops_per_sec",
-                     StoreOpsPerSec(store, records), "ops/sec"});
-  }
-  {
-    core::StoreConfig config;
-    config.type = core::StoreType::kSpillMerge;
-    config.spill_threshold_bytes = 1 << 20;
-    core::SpillMergeStore store(config);
-    rows->push_back({"store", "spillmerge_ops_per_sec",
-                     StoreOpsPerSec(store, records), "ops/sec"});
-  }
-  {
-    core::StoreConfig config;
-    config.type = core::StoreType::kKvStore;
-    config.kv_cache_bytes = 256 << 10;
-    config.kv_ops_per_sec = 0;  // wall-clock bench: no virtual charging
-    core::KvStoreBackend store(config);
-    rows->push_back({"store", "kvstore_ops_per_sec",
-                     StoreOpsPerSec(store, records), "ops/sec"});
-  }
+  core::StoreConfig config;
+  rows->push_back({"store", "inmemory_ops_per_sec",
+                   StoreOpsPerSec(config, records), "ops/sec"});
+  config.type = core::StoreType::kSpillMerge;
+  config.spill_threshold_bytes = 1 << 20;
+  rows->push_back({"store", "spillmerge_ops_per_sec",
+                   StoreOpsPerSec(config, records), "ops/sec"});
+  config.type = core::StoreType::kKvStore;
+  config.kv_cache_bytes = 256 << 10;
+  rows->push_back({"store", "kvstore_ops_per_sec",
+                   StoreOpsPerSec(config, records), "ops/sec"});
 }
 
 void WriteJson(const std::vector<MetricRow>& rows, const std::string& path) {

@@ -8,9 +8,7 @@
 #include "common/rng.h"
 #include "common/serde.h"
 #include "concurrency/bounded_queue.h"
-#include "core/inmemory_store.h"
-#include "core/kvstore.h"
-#include "core/spill_merge_store.h"
+#include "core/partial_store.h"
 #include "mr/shuffle.h"
 
 namespace bmr {
@@ -26,30 +24,27 @@ std::vector<std::string> MakeKeys(size_t n, uint32_t distinct, uint64_t seed) {
   return keys;
 }
 
-template <typename Store>
-void RunStoreFold(Store& store, const std::vector<std::string>& keys) {
-  std::string partial;
-  for (const auto& key : keys) {
+/// WordCount-shaped fold: one Fold per key, the count updated in place.
+void RunStoreFold(core::PartialStore* store,
+                  const std::vector<std::string>& keys) {
+  auto increment = [](std::string* partial, bool fresh) {
     int64_t n = 0;
-    bool found = false;
-    if (store.Get(Slice(key), &partial, &found).ok() && found) {
-      DecodeI64(Slice(partial), &n);
-    }
-    benchmark::DoNotOptimize(
-        store.Put(Slice(key), Slice(EncodeI64(n + 1))));
+    if (!fresh) DecodeI64(Slice(*partial), &n);
+    *partial = EncodeI64(n + 1);
+  };
+  for (const auto& key : keys) {
+    benchmark::DoNotOptimize(store->Fold(Slice(key), increment));
   }
 }
 
-void BM_InMemoryStoreFold(benchmark::State& state) {
+void BM_InMemoryFold(benchmark::State& state) {
   auto keys = MakeKeys(8192, static_cast<uint32_t>(state.range(0)), 42);
   for (auto _ : state) {
-    core::StoreConfig config;
-    core::InMemoryStore store(config);
-    RunStoreFold(store, keys);
+    RunStoreFold(core::CreatePartialStore(core::StoreConfig()).get(), keys);
   }
   state.SetItemsProcessed(state.iterations() * keys.size());
 }
-BENCHMARK(BM_InMemoryStoreFold)->Arg(64)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_InMemoryFold)->Arg(64)->Arg(1024)->Arg(8192);
 
 void BM_SpillMergeStoreFold(benchmark::State& state) {
   auto keys = MakeKeys(8192, 1024, 42);
@@ -57,8 +52,7 @@ void BM_SpillMergeStoreFold(benchmark::State& state) {
     core::StoreConfig config;
     config.type = core::StoreType::kSpillMerge;
     config.spill_threshold_bytes = static_cast<uint64_t>(state.range(0));
-    core::SpillMergeStore store(config);
-    RunStoreFold(store, keys);
+    RunStoreFold(core::CreatePartialStore(config).get(), keys);
   }
   state.SetItemsProcessed(state.iterations() * keys.size());
 }
@@ -70,8 +64,7 @@ void BM_KvStoreFold(benchmark::State& state) {
     core::StoreConfig config;
     config.type = core::StoreType::kKvStore;
     config.kv_cache_bytes = static_cast<uint64_t>(state.range(0));
-    core::KvStoreBackend store(config);
-    RunStoreFold(store, keys);
+    RunStoreFold(core::CreatePartialStore(config).get(), keys);
   }
   state.SetItemsProcessed(state.iterations() * keys.size());
 }
@@ -108,11 +101,11 @@ void BM_OrderedMapInsertUnique(benchmark::State& state) {
   for (int i = 0; i < 20000; ++i) {
     keys.push_back("k" + std::to_string(rng.NextU32()));
   }
+  auto insert = [](std::string*, bool) {};
   for (auto _ : state) {
-    core::StoreConfig config;
-    core::InMemoryStore store(config);
+    auto store = core::CreatePartialStore(core::StoreConfig());
     for (const auto& key : keys) {
-      benchmark::DoNotOptimize(store.Put(Slice(key), ""));
+      benchmark::DoNotOptimize(store->Fold(Slice(key), insert));
     }
   }
   state.SetItemsProcessed(state.iterations() * keys.size());

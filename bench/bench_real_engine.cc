@@ -1,10 +1,9 @@
 // Real-engine demonstration: WordCount with and without the barrier on
-// the in-process cluster, real data end to end.  This host has a single
-// core, so barrier-less pipelining cannot buy wall-clock time here
-// (there is no idle CPU to overlap into); the run demonstrates
-// correctness, the counter plumbing, and the structural difference —
-// the paper-scale timing claims are regenerated by the simulator
-// benches.
+// the in-process cluster, real data end to end.  The run demonstrates
+// correctness, the counter plumbing, and the structural difference;
+// wall-clock barrier vs barrier-less on the host is measured by
+// perfbench/ (BENCHMARK.json), and the paper-scale timing claims are
+// regenerated by the simulator benches.
 #include <cstdio>
 
 #include "apps/wordcount.h"

@@ -20,8 +20,8 @@ Status BarrierlessDriver::Consume(Slice key, Slice value,
   if (finalized_) {
     return Status::FailedPrecondition("Consume after Finalize");
   }
-  // Sampled (1 in 16) per-op latency: the Get/Update/Put cycle runs
-  // per record, so timing every op would distort the path it measures.
+  // Sampled (1 in 16) per-op latency: the fold runs per record, so
+  // timing every op would distort the path it measures.
   obs::Tracer* sampled =
       (tracer_ != nullptr && (records_consumed_ & 15) == 0) ? tracer_
                                                             : nullptr;
@@ -32,24 +32,13 @@ Status BarrierlessDriver::Consume(Slice key, Slice value,
     reducer_->Update(key, value, /*partial=*/nullptr, out);
     return Status::Ok();
   }
-  bool found = false;
-  {
-    obs::LatencyTimer get(sampled, obs::kHStoreGetUs);
-    BMR_RETURN_IF_ERROR(store_->Get(key, &partial_scratch_, &found));
-  }
-  if (!found) {
-    partial_scratch_ = reducer_->InitPartial(key);
-  }
-  {
+  auto fold = [&](std::string* partial, bool fresh) {
+    if (fresh) *partial = reducer_->InitPartial(key);
     obs::LatencyTimer invoke(sampled, obs::kHReduceInvokeUs);
-    reducer_->Update(key, value, &partial_scratch_, out);
-  }
-  obs::LatencyTimer put(sampled, obs::kHStorePutUs);
-  return store_->Put(key, Slice(partial_scratch_));
-}
-
-Status BarrierlessDriver::Finalize(mr::ReduceEmitter* out) {
-  return FinalizeWithSnapshot(out, nullptr);
+    reducer_->Update(key, value, partial, out);
+  };
+  obs::LatencyTimer fold_latency(sampled, obs::kHStoreFoldUs);
+  return store_->Fold(key, fold);
 }
 
 Status BarrierlessDriver::PreloadPartial(Slice key, Slice partial) {
@@ -61,41 +50,43 @@ Status BarrierlessDriver::PreloadPartial(Slice key, Slice partial) {
         "PreloadPartial must precede the first Consume");
   }
   if (!store_) return Status::Ok();  // stateless reducers: nothing to seed
-  return store_->Put(key, partial);
+  return store_->Fold(key, [partial](std::string* stored, bool) {
+    stored->assign(partial.data(), partial.size());
+  });
 }
 
 Status BarrierlessDriver::EmitSnapshot(mr::ReduceEmitter* out) {
   if (finalized_) return Status::FailedPrecondition("snapshot after Finalize");
   if (!store_) return Status::Ok();  // stateless reducers emit eagerly
-  IncrementalReducer* reducer = reducer_;
-  return store_->ForEachCurrent(
-      [reducer](Slice key, Slice a, Slice b) {
-        return reducer->MergePartials(key, a, b);
-      },
-      [reducer, out](Slice key, Slice partial) {
-        reducer->Finish(key, partial, out);
-      });
+  return ScanStore(out, /*snapshot=*/nullptr);
 }
 
-Status BarrierlessDriver::FinalizeWithSnapshot(
-    mr::ReduceEmitter* out, std::vector<mr::Record>* snapshot) {
+Status BarrierlessDriver::Finalize(mr::ReduceEmitter* out,
+                                   std::vector<mr::Record>* snapshot) {
   if (finalized_) return Status::Ok();
   finalized_ = true;
   if (store_) {
-    IncrementalReducer* reducer = reducer_;
-    BMR_RETURN_IF_ERROR(store_->ForEachMerged(
-        [reducer](Slice key, Slice a, Slice b) {
-          return reducer->MergePartials(key, a, b);
-        },
-        [reducer, out, snapshot](Slice key, Slice partial) {
-          if (snapshot != nullptr) {
-            snapshot->emplace_back(key.ToString(), partial.ToString());
-          }
-          reducer->Finish(key, partial, out);
-        }));
+    BMR_RETURN_IF_ERROR(ScanStore(out, snapshot));
+    released_stats_ = store_->stats();
+    store_.reset();  // frees the partials, spill files and KV log now
   }
   reducer_->Flush(out);
   return Status::Ok();
+}
+
+Status BarrierlessDriver::ScanStore(mr::ReduceEmitter* out,
+                                    std::vector<mr::Record>* snapshot) {
+  IncrementalReducer* reducer = reducer_;
+  return store_->Scan(
+      [reducer](Slice key, Slice a, Slice b) {
+        return reducer->MergePartials(key, a, b);
+      },
+      [reducer, out, snapshot](Slice key, Slice partial) {
+        if (snapshot != nullptr) {
+          snapshot->emplace_back(key.ToString(), partial.ToString());
+        }
+        reducer->Finish(key, partial, out);
+      });
 }
 
 }  // namespace bmr::core

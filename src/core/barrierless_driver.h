@@ -1,12 +1,11 @@
 // The barrier-less run() driver (Section 3.1/3.2).
 //
 // Plays the role of the custom run() function the paper has the
-// programmer write: for each record popped off the shuffle FIFO it
-// fetches the key's partial result (inserting InitPartial on first
-// sight), invokes the single-record Reduce, and writes the updated
-// partial back.  After the last record it emits all finished keys in
-// key order — merging spilled fragments — and flushes reducer-internal
-// state.
+// programmer write: each record popped off the shuffle FIFO is folded
+// into its key's partial result — InitPartial on first sight, then the
+// single-record Reduce, in place in the store.  After the last record it
+// emits all finished keys in key order — merging spilled fragments —
+// and flushes reducer-internal state.
 #pragma once
 
 #include <memory>
@@ -31,20 +30,18 @@ class BarrierlessDriver {
   [[nodiscard]] Status Consume(Slice key, Slice value, mr::ReduceEmitter* out);
 
   /// Called once after the last record: ordered final emission with
-  /// fragment merging, then reducer Flush.
-  [[nodiscard]] Status Finalize(mr::ReduceEmitter* out);
+  /// fragment merging, then reducer Flush; the store is released.  With
+  /// `snapshot`, every (key, merged partial) — *before* Finish
+  /// transforms it — is also appended there, so a future job can
+  /// PreloadPartial from it.
+  [[nodiscard]] Status Finalize(mr::ReduceEmitter* out,
+                                std::vector<mr::Record>* snapshot = nullptr);
 
   /// Seed the store with a partial result captured by a previous run
   /// (memoization, §8).  Must be called before the first Consume; the
-  /// value is installed verbatim, no Update is invoked.  A later value
-  /// for the same key folds in through the store's normal merge path.
+  /// value is installed verbatim, no Update is invoked.  Later records
+  /// for the same key fold into it.
   [[nodiscard]] Status PreloadPartial(Slice key, Slice partial);
-
-  /// Like Finalize, but additionally appends every (key, merged
-  /// partial) — *before* Finish transforms it — to `snapshot`, so a
-  /// future job can PreloadPartial from it.
-  [[nodiscard]] Status FinalizeWithSnapshot(mr::ReduceEmitter* out,
-                              std::vector<mr::Record>* snapshot);
 
   /// Progressive (online) results: emit the finished form of every key
   /// folded *so far*, without disturbing the store — callable any
@@ -57,16 +54,23 @@ class BarrierlessDriver {
 
   uint64_t records_consumed() const { return records_consumed_; }
 
-  const PartialStore* store() const { return store_.get(); }
-  PartialStore* mutable_store() { return store_.get(); }
+  /// The store's statistics; after Finalize, as they stood when the
+  /// store was released.  All zero when the reducer skips the store.
+  const StoreStats& store_stats() const {
+    return store_ ? store_->stats() : released_stats_;
+  }
 
  private:
+  /// Scan the store in key order through MergePartials and Finish.
+  [[nodiscard]] Status ScanStore(mr::ReduceEmitter* out,
+                                 std::vector<mr::Record>* snapshot);
+
   IncrementalReducer* reducer_;
   std::unique_ptr<PartialStore> store_;  // null if reducer skips the store
   obs::Tracer* tracer_ = nullptr;        // from StoreConfig; not owned
   uint64_t records_consumed_ = 0;
   bool finalized_ = false;
-  std::string partial_scratch_;
+  StoreStats released_stats_;
 };
 
 }  // namespace bmr::core

@@ -28,12 +28,6 @@ KvStoreBackend::~KvStoreBackend() {
   if (log_ != nullptr) std::fclose(log_);
 }
 
-void KvStoreBackend::ChargeOp() {
-  if (config_.kv_ops_per_sec > 0) {
-    stats_.charged_seconds += 1.0 / config_.kv_ops_per_sec;
-  }
-}
-
 void KvStoreBackend::Touch(LruList::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
@@ -98,61 +92,44 @@ Status KvStoreBackend::EvictIfNeeded() {
   return Status::Ok();
 }
 
-Status KvStoreBackend::Get(Slice key, std::string* partial, bool* found) {
-  ++stats_.gets;
-  ChargeOp();
-  *found = false;
+Status KvStoreBackend::Fold(Slice key, FoldFn fn) {
+  ++stats_.folds;
   auto hit = cache_index_.find(key);  // transparent: no key copy
   if (hit != cache_index_.end()) {
     ++cache_hits_;
-    Touch(hit->second);
-    *partial = hit->second->value;
-    *found = true;
-    return Status::Ok();
-  }
-  auto idx = index_.find(key);
-  if (idx == index_.end() || !idx->second.on_disk) return Status::Ok();
-  ++cache_misses_;
-  std::string value;
-  BMR_RETURN_IF_ERROR(ReadFromLog(idx->second, &value));
-  // Install in cache (clean: disk already has this version).
-  lru_.push_front(CacheEntry{key.ToString(), value, /*dirty=*/false});
-  cache_index_[lru_.front().key] = lru_.begin();
-  cache_bytes_ += EntryFootprint(key.size(), value.size());
-  // Eviction to make room may have to write back a dirty victim; a
-  // failed write-back is lost data and must surface, not be swallowed.
-  BMR_RETURN_IF_ERROR(EvictIfNeeded());
-  *partial = std::move(value);
-  *found = true;
-  return Status::Ok();
-}
-
-Status KvStoreBackend::Put(Slice key, Slice partial) {
-  ++stats_.puts;
-  ChargeOp();
-  auto hit = cache_index_.find(key);  // transparent: no key copy
-  if (hit != cache_index_.end()) {
     CacheEntry& entry = *hit->second;
-    cache_bytes_ += partial.size();
-    cache_bytes_ -= entry.value.size();
-    entry.value.assign(partial.data(), partial.size());
+    const size_t old_size = entry.value.size();
+    fn(&entry.value, /*fresh=*/false);
+    cache_bytes_ = cache_bytes_ - old_size + entry.value.size();
     entry.dirty = true;
     Touch(hit->second);
   } else {
-    // Ensure the key exists in the directory (location filled on
-    // evict).  Only this insert path materializes an owning key.
-    std::string k = key.ToString();
-    index_.try_emplace(k);
-    lru_.push_front(CacheEntry{std::move(k), partial.ToString(),
-                               /*dirty=*/true});
+    // Cache miss: one directory probe finds the on-disk version or the
+    // insert position (location filled on evict).  Only a new key
+    // materializes an owning key string.
+    auto idx = index_.lower_bound(key);
+    if (idx == index_.end() || index_.key_comp()(key, idx->first)) {
+      idx = index_.emplace_hint(idx, key.ToString(), DiskLocation{});
+    }
+    const bool fresh = !idx->second.on_disk;
+    std::string value;
+    if (!fresh) {
+      ++cache_misses_;
+      BMR_RETURN_IF_ERROR(ReadFromLog(idx->second, &value));
+    }
+    fn(&value, fresh);
+    cache_bytes_ += EntryFootprint(key.size(), value.size());
+    lru_.push_front(CacheEntry{idx->first, std::move(value), /*dirty=*/true});
     cache_index_[lru_.front().key] = lru_.begin();
-    cache_bytes_ += EntryFootprint(key.size(), partial.size());
   }
   stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, cache_bytes_);
+  // Eviction to make room may have to write back a dirty victim; a
+  // failed write-back is lost data and must surface, not be swallowed.
   return EvictIfNeeded();
 }
 
-Status KvStoreBackend::ScanAll(const EmitFn& fn) {
+Status KvStoreBackend::Scan(const MergeFn& merge, const EmitFn& fn) {
+  (void)merge;
   for (const auto& [key, loc] : index_) {
     auto hit = cache_index_.find(key);
     if (hit != cache_index_.end()) {
@@ -166,24 +143,6 @@ Status KvStoreBackend::ScanAll(const EmitFn& fn) {
     }
   }
   return Status::Ok();
-}
-
-Status KvStoreBackend::ForEachMerged(const MergeFn& merge, const EmitFn& fn) {
-  (void)merge;  // read-modify-update keeps one authoritative value per key
-  BMR_RETURN_IF_ERROR(ScanAll(fn));
-  index_.clear();
-  cache_index_.clear();
-  lru_.clear();
-  cache_bytes_ = 0;
-  return Status::Ok();
-}
-
-Status KvStoreBackend::ForEachCurrent(const MergeFn& merge,
-                                      const EmitFn& fn) const {
-  (void)merge;
-  // Logically const: reads may page values in from the log and bump
-  // statistics, but the key/value contents are unchanged.
-  return const_cast<KvStoreBackend*>(this)->ScanAll(fn);
 }
 
 }  // namespace bmr::core

@@ -6,9 +6,9 @@
 // a read-modify-update cycle through this store; the paper measured
 // ~30k inserts/s, far below the record rate of a wordcount reducer,
 // which is why this scheme loses in Figs. 9–10.  We reproduce the
-// mechanism with real disk I/O and charge the calibrated per-op cost as
-// virtual time (StoreStats::charged_seconds) so the simulator can
-// replay the throughput collapse at paper scale.
+// mechanism with real disk I/O; the simulator replays the throughput
+// collapse at paper scale from its own calibrated per-op cost
+// (simmr::StoreModel::kv_ops_per_sec).
 #pragma once
 
 #include <cstdio>
@@ -28,14 +28,11 @@ class KvStoreBackend final : public PartialStore {
   explicit KvStoreBackend(const StoreConfig& config);
   ~KvStoreBackend() override;
 
-  [[nodiscard]] Status Get(Slice key, std::string* partial,
-                           bool* found) override;
-  [[nodiscard]] Status Put(Slice key, Slice partial) override;
+  [[nodiscard]] Status Fold(Slice key, FoldFn fn) override;
   uint64_t NumKeys() const override { return index_.size(); }
   uint64_t MemoryBytes() const override { return cache_bytes_; }
-  [[nodiscard]] Status ForEachMerged(const MergeFn& merge, const EmitFn& fn) override;
-  [[nodiscard]] Status ForEachCurrent(const MergeFn& merge,
-                        const EmitFn& fn) const override;
+  /// `merge` is unused: read-modify-update keeps one value per key.
+  [[nodiscard]] Status Scan(const MergeFn& merge, const EmitFn& fn) override;
   const StoreStats& stats() const override { return stats_; }
 
   uint64_t cache_hits() const { return cache_hits_; }
@@ -55,8 +52,6 @@ class KvStoreBackend final : public PartialStore {
   };
   using LruList = std::list<CacheEntry>;
 
-  [[nodiscard]] Status ScanAll(const EmitFn& fn);
-  void ChargeOp();
   void Touch(LruList::iterator it);
   [[nodiscard]] Status EvictIfNeeded();
   [[nodiscard]] Status WriteToLog(Slice key, Slice value, DiskLocation* loc);

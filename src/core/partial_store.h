@@ -4,12 +4,12 @@
 // depending on the Reduce class (Table 1); for large inputs the reducer
 // heap overflows, so storage is pluggable:
 //
-//   kInMemory   — ordered map, fails with RESOURCE_EXHAUSTED at the heap
-//                 cap (reproduces the Fig. 5(a) OOM).
-//   kSpillMerge — §5.1: on reaching a threshold, partial results are
-//                 sorted and moved to a local spill file; a final k-way
-//                 merge combines per-key fragments with the app's merge
-//                 function.
+//   kInMemory   — ordered memtable, fails with RESOURCE_EXHAUSTED at the
+//                 heap cap (reproduces the Fig. 5(a) OOM).
+//   kSpillMerge — §5.1: the same memtable, but on reaching a threshold
+//                 partial results are sorted and moved to a local spill
+//                 file; a final k-way merge combines per-key fragments
+//                 with the app's merge function.
 //   kKvStore    — §5.2: a BerkeleyDB-like disk-spilling key/value store
 //                 with an LRU cache; every record costs a read-modify-
 //                 update cycle.
@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -49,18 +50,12 @@ struct StoreConfig {
   std::string scratch_dir;
   /// kKvStore: LRU cache capacity in bytes.
   uint64_t kv_cache_bytes = 64ull << 20;
-  /// kKvStore: modeled sustained ops/sec of the store (the paper
-  /// measured ~30k inserts/sec for BerkeleyDB JE).  Used for virtual-
-  /// time charging, not wall-clock throttling.
-  double kv_ops_per_sec = 30000.0;
-  /// Modeled local-disk sequential bandwidth for spill I/O charging.
-  double disk_bytes_per_sec = 80e6;
   /// Key ordering used for final emission and spill sorting.
   mr::KeyCompareFn key_cmp;  // defaults to bytewise when null
   /// Optional fault injector consulted on every spill-file write/read
   /// (chaos testing).  Not owned; null = no injection.
   faults::FaultInjector* fault_injector = nullptr;
-  /// Optional tracer: store.spill spans plus sampled Get/Put latency
+  /// Optional tracer: store.spill spans plus sampled fold latency
   /// (recorded by the BarrierlessDriver).  Not owned; null = off.
   obs::Tracer* tracer = nullptr;
 };
@@ -73,19 +68,36 @@ inline uint64_t EntryFootprint(size_t key_size, size_t value_size) {
   return key_size + value_size + kPerEntryOverhead;
 }
 
-/// Cumulative statistics a store exposes for benches and the simulator's
-/// cost calibration.
+/// Cumulative statistics a store exposes for benches and job counters.
 struct StoreStats {
-  uint64_t gets = 0;
-  uint64_t puts = 0;
+  uint64_t folds = 0;
   uint64_t spills = 0;           // spill-file flushes
   uint64_t spilled_bytes = 0;
-  uint64_t disk_reads = 0;       // KV store cache misses
+  uint64_t disk_reads = 0;       // KV cache misses, spill-run records read
   uint64_t disk_read_bytes = 0;
   uint64_t peak_memory_bytes = 0;
-  /// Virtual seconds charged for modeled device costs (KV store ops,
-  /// spill I/O).  Added to the reducer's virtual runtime by simmr.
-  double charged_seconds = 0;
+};
+
+/// Non-owning reference to the per-record fold callback, a callable
+/// object `fn(std::string* partial, bool fresh)`: two words, never
+/// allocates.  The callable must outlive the Fold call it is passed to.
+class FoldFn {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FoldFn>)
+  FoldFn(F&& fn)  // NOLINT(google-explicit-constructor): a function_ref
+      : obj_(const_cast<void*>(static_cast<const void*>(&fn))),
+        call_([](void* obj, std::string* partial, bool fresh) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(partial, fresh);
+        }) {}
+
+  void operator()(std::string* partial, bool fresh) const {
+    call_(obj_, partial, fresh);
+  }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::string*, bool);
 };
 
 /// Per-key partial-result storage.  Single-threaded: each reduce task
@@ -94,17 +106,17 @@ class PartialStore {
  public:
   virtual ~PartialStore() = default;
 
-  /// Fetch the current partial result for `key`.  `*found` reports
-  /// presence; the Status carries I/O errors (a disk-backed store may
-  /// have to page the value in, or evict a dirty victim to make room —
-  /// a failed victim write-back is data loss and must be loud, not
-  /// swallowed).  On error `*found` is false and `*partial` untouched.
-  [[nodiscard]] virtual Status Get(Slice key, std::string* partial,
-                                   bool* found) = 0;
-
-  /// Insert or replace the partial result for `key`.  May return
-  /// RESOURCE_EXHAUSTED (in-memory store at its heap cap) or I/O errors.
-  [[nodiscard]] virtual Status Put(Slice key, Slice partial) = 0;
+  /// Fold into `key`'s partial result in place, with one index probe.
+  /// For a key the store does not hold — never seen, or its memtable
+  /// fragment was spilled — `fn` gets an empty partial with fresh =
+  /// true; otherwise it updates the stored value.
+  ///
+  /// Heap cap: an insert that would cross it returns RESOURCE_EXHAUSTED
+  /// and inserts nothing; an update that crosses it returns
+  /// RESOURCE_EXHAUSTED with the update applied (the reduce task fails
+  /// and a restart builds a fresh store).  Spill and KV page-in /
+  /// write-back I/O errors are returned, never swallowed.
+  [[nodiscard]] virtual Status Fold(Slice key, FoldFn fn) = 0;
 
   /// Number of keys currently tracked (including spilled ones).
   virtual uint64_t NumKeys() const = 0;
@@ -113,18 +125,13 @@ class PartialStore {
   virtual uint64_t MemoryBytes() const = 0;
 
   /// Iterate every key in key order with its fully merged partial
-  /// result, invoking `fn(key, partial)`.  `merge` combines fragments
-  /// of the same key from different spills.  Destructive: the store is
-  /// drained.  Called exactly once, after the last Update.
+  /// result, invoking `fn(key, partial)`.  `merge` combines fragments of
+  /// the same key from different spills.  Non-destructive: folding may
+  /// continue afterwards, which powers progressive (online) snapshots.
   using MergeFn = std::function<std::string(Slice key, Slice a, Slice b)>;
   using EmitFn = std::function<void(Slice key, Slice partial)>;
-  [[nodiscard]] virtual Status ForEachMerged(const MergeFn& merge, const EmitFn& fn) = 0;
-
-  /// Non-destructive variant: iterate the *current* merged partials in
-  /// key order without draining the store, so folding can continue
-  /// afterwards.  Powers progressive (online) result snapshots.
-  [[nodiscard]] virtual Status ForEachCurrent(const MergeFn& merge,
-                                const EmitFn& fn) const = 0;
+  [[nodiscard]] virtual Status Scan(const MergeFn& merge,
+                                    const EmitFn& fn) = 0;
 
   virtual const StoreStats& stats() const = 0;
 };

@@ -9,52 +9,54 @@
 
 namespace bmr::core {
 
-SpillMergeStore::SpillMergeStore(const StoreConfig& config)
-    : config_(config),
-      scratch_(config.scratch_dir),
-      memtable_(MakeOrderedPartialMap(config.key_cmp)) {}
+namespace {
 
-Status SpillMergeStore::Get(Slice key, std::string* partial, bool* found) {
-  ++stats_.gets;
-  // Only the memtable is consulted: spilled fragments stay on disk and
-  // are reconciled in the merge phase.  A key that was spilled restarts
-  // from InitPartial, exactly as in the paper's scheme.
-  auto it = memtable_.find(key);  // transparent: no key copy
-  if (it == memtable_.end()) {
-    *found = false;
-    return Status::Ok();
-  }
-  *partial = it->second;
-  *found = true;
-  return Status::Ok();
+/// The JVM analogue throws OutOfMemoryError and the job is killed
+/// (Fig. 5a); reported as a status so the engine can record the
+/// failure time.
+Status CheckHeapCap(uint64_t bytes, uint64_t cap) {
+  if (cap == 0 || bytes <= cap) return Status::Ok();
+  return Status::ResourceExhausted("partial results exceed reducer heap (" +
+                                   std::to_string(bytes) + " > " +
+                                   std::to_string(cap) + " bytes)");
 }
 
-Status SpillMergeStore::Put(Slice key, Slice partial) {
-  ++stats_.puts;
-  auto it = memtable_.lower_bound(key);
-  bool exists = it != memtable_.end() && !memtable_.key_comp()(key, it->first);
+}  // namespace
 
-  // Check the heap cap on the *prospective* footprint, before touching
-  // the memtable: a rejected Put must leave the store (keys, bytes,
-  // peak stats) exactly as it found it, so the OOM boundary is
-  // observable and consistent.
-  uint64_t new_bytes =
-      exists ? memory_bytes_ + partial.size() - it->second.size()
-             : memory_bytes_ + EntryFootprint(key.size(), partial.size());
-  if (config_.heap_limit_bytes != 0 && new_bytes > config_.heap_limit_bytes) {
-    return Status::ResourceExhausted("spill store exceeded heap cap");
-  }
+SpillMergeStore::SpillMergeStore(const StoreConfig& config)
+    : config_(config),
+      spills_(config.type == StoreType::kSpillMerge),
+      memtable_(MakeOrderedPartialMap(config.key_cmp)) {}
 
-  if (!exists) {
-    it = memtable_.emplace_hint(it, key.ToString(), std::string());
+Status SpillMergeStore::Fold(Slice key, FoldFn fn) {
+  ++stats_.folds;
+  auto it = memtable_.lower_bound(key);  // transparent: no key copy
+  if (it != memtable_.end() && !memtable_.key_comp()(key, it->first)) {
+    const size_t old_size = it->second.size();
+    fn(&it->second, /*fresh=*/false);
+    memory_bytes_ = memory_bytes_ - old_size + it->second.size();
+  } else {
+    // Only the memtable is consulted: spilled fragments stay on disk
+    // and are reconciled by Scan's merge.  A key that was spilled
+    // restarts from a fresh partial, exactly as in the paper's scheme.
+    std::string partial;
+    fn(&partial, /*fresh=*/true);
+    const uint64_t with_entry =
+        memory_bytes_ + EntryFootprint(key.size(), partial.size());
+    // Checked before inserting: a rejected insert leaves the store
+    // (keys, bytes, peak stats) exactly as it found it, so the OOM
+    // boundary is observable and consistent.
+    BMR_RETURN_IF_ERROR(CheckHeapCap(with_entry, config_.heap_limit_bytes));
+    memtable_.emplace_hint(it, key.ToString(), std::move(partial));
+    memory_bytes_ = with_entry;
     ++approx_keys_;
-    ++memtable_keys_;
   }
-  it->second.assign(partial.data(), partial.size());
-  memory_bytes_ = new_bytes;
   stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, memory_bytes_);
-
-  if (memory_bytes_ >= config_.spill_threshold_bytes && !memtable_.empty()) {
+  // An update that grew past the cap stays applied: undoing it would
+  // need a copy of the old partial on every fold, and the reduce task
+  // fails on this status anyway (a restart builds a fresh store).
+  BMR_RETURN_IF_ERROR(CheckHeapCap(memory_bytes_, config_.heap_limit_bytes));
+  if (spills_ && memory_bytes_ >= config_.spill_threshold_bytes) {
     return SpillNow();
   }
   return Status::Ok();
@@ -67,8 +69,9 @@ Status SpillMergeStore::SpillNow() {
   obs::ScopedSpan spill_span(config_.tracer, obs::kSpanStoreSpill, "store",
                              static_cast<int64_t>(spill_paths_.size()));
   obs::LatencyTimer spill_latency(config_.tracer, obs::kHStoreSpillUs);
+  if (!scratch_) scratch_.emplace(config_.scratch_dir);
   std::string path =
-      scratch_.FilePath("spill_" + std::to_string(spill_paths_.size()));
+      scratch_->FilePath("spill_" + std::to_string(spill_paths_.size()));
   SpillFileWriter writer(path, config_.fault_injector);
   BMR_RETURN_IF_ERROR(writer.Open());
   for (const auto& [key, partial] : memtable_) {
@@ -78,35 +81,12 @@ Status SpillMergeStore::SpillNow() {
   spill_paths_.push_back(path);
   ++stats_.spills;
   stats_.spilled_bytes += writer.bytes_written();
-  if (config_.disk_bytes_per_sec > 0) {
-    stats_.charged_seconds +=
-        writer.bytes_written() / config_.disk_bytes_per_sec;
-  }
   memtable_.clear();
   memory_bytes_ = 0;
-  memtable_keys_ = 0;
   return Status::Ok();
 }
 
-uint64_t SpillMergeStore::NumKeys() const { return approx_keys_; }
-
-Status SpillMergeStore::ForEachMerged(const MergeFn& merge, const EmitFn& fn) {
-  BMR_RETURN_IF_ERROR(MergeScan(merge, fn));
-  memtable_.clear();
-  memory_bytes_ = 0;
-  memtable_keys_ = 0;
-  approx_keys_ = 0;
-  return Status::Ok();
-}
-
-Status SpillMergeStore::ForEachCurrent(const MergeFn& merge,
-                                       const EmitFn& fn) const {
-  // Logically const: the scan re-opens the spill files read-only and
-  // walks the memtable; only statistics counters move.
-  return const_cast<SpillMergeStore*>(this)->MergeScan(merge, fn);
-}
-
-Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
+Status SpillMergeStore::Scan(const MergeFn& merge, const EmitFn& fn) {
   // Merge heads: every spill file plus the live memtable, all already
   // in key order.  Standard loser-tree-free k-way merge over a heap.
   struct Head {
@@ -191,10 +171,6 @@ Status SpillMergeStore::MergeScan(const MergeFn& merge, const EmitFn& fn) {
     }
   }
   flush_current();
-
-  if (config_.disk_bytes_per_sec > 0) {
-    stats_.charged_seconds += stats_.disk_read_bytes / config_.disk_bytes_per_sec;
-  }
   return Status::Ok();
 }
 

@@ -1,15 +1,21 @@
-// Disk spill-and-merge partial-result store (Section 5.1).
+// Memtable partial-result store: the in-memory store and the disk
+// spill-and-merge store (Section 5.1) in one class.
 //
-// Partial results accumulate in an ordered memtable; when the estimated
-// footprint reaches the threshold, the whole memtable is written — in
+// Partial results accumulate in an ordered memtable (the paper's Java
+// TreeMap).  With spilling on (kSpillMerge), when the estimated
+// footprint reaches the threshold the whole memtable is written — in
 // key order — to a new local spill file and memory is released.  A key
 // may therefore have fragments in several spill files plus the live
-// memtable; the final pass k-way merges all runs and folds fragments of
-// equal keys together with the application's merge function (which the
-// paper notes is usually the same as its combiner).
+// memtable; Scan k-way merges all runs and folds fragments of equal
+// keys together with the application's merge function (which the paper
+// notes is usually the same as its combiner).  With spilling off
+// (kInMemory) the heap cap is the only bound — the Fig. 5(a) OOM — and
+// the store never touches the filesystem: the scratch directory is
+// created by the first spill.
 #pragma once
 
-#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/ordered_map.h"
@@ -20,16 +26,14 @@ namespace bmr::core {
 
 class SpillMergeStore final : public PartialStore {
  public:
+  /// Spills at config.spill_threshold_bytes iff config.type is
+  /// kSpillMerge; any other type gives the non-spilling memtable.
   explicit SpillMergeStore(const StoreConfig& config);
 
-  [[nodiscard]] Status Get(Slice key, std::string* partial,
-                           bool* found) override;
-  [[nodiscard]] Status Put(Slice key, Slice partial) override;
-  uint64_t NumKeys() const override;
+  [[nodiscard]] Status Fold(Slice key, FoldFn fn) override;
+  uint64_t NumKeys() const override { return approx_keys_; }
   uint64_t MemoryBytes() const override { return memory_bytes_; }
-  [[nodiscard]] Status ForEachMerged(const MergeFn& merge, const EmitFn& fn) override;
-  [[nodiscard]] Status ForEachCurrent(const MergeFn& merge,
-                        const EmitFn& fn) const override;
+  [[nodiscard]] Status Scan(const MergeFn& merge, const EmitFn& fn) override;
   const StoreStats& stats() const override { return stats_; }
 
   /// Exposed for tests/benches: force a spill regardless of threshold.
@@ -38,18 +42,14 @@ class SpillMergeStore final : public PartialStore {
   size_t num_spill_files() const { return spill_paths_.size(); }
 
  private:
-  /// Shared k-way merge over spill files + memtable; leaves all state
-  /// intact (callers clear separately when draining).
-  [[nodiscard]] Status MergeScan(const MergeFn& merge, const EmitFn& fn);
-
   StoreConfig config_;
-  ScratchDir scratch_;
+  bool spills_;                        // false: the in-memory store
+  std::optional<ScratchDir> scratch_;  // created by the first spill
   OrderedPartialMap memtable_;
   uint64_t memory_bytes_ = 0;
   /// Upper bound on distinct keys (over-counts keys split across
   /// spills); exact count requires the merge pass.
   uint64_t approx_keys_ = 0;
-  uint64_t memtable_keys_ = 0;
   std::vector<std::string> spill_paths_;
   StoreStats stats_;
 };

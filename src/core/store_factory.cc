@@ -1,4 +1,3 @@
-#include "core/inmemory_store.h"
 #include "core/kvstore.h"
 #include "core/partial_store.h"
 #include "core/spill_merge_store.h"
@@ -17,8 +16,8 @@ const char* StoreTypeName(StoreType type) {
 std::unique_ptr<PartialStore> CreatePartialStore(const StoreConfig& config) {
   switch (config.type) {
     case StoreType::kInMemory:
-      return std::make_unique<InMemoryStore>(config);
     case StoreType::kSpillMerge:
+      // One memtable; config.type decides whether it spills.
       return std::make_unique<SpillMergeStore>(config);
     case StoreType::kKvStore:
       return std::make_unique<KvStoreBackend>(config);

@@ -370,19 +370,17 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
   }
 
   ctx->counters()->Add(kCtrReduceInputRecords, driver.records_consumed());
-  Status st;
-  if (spec_.session != nullptr) {
-    std::vector<Record> snapshot;
-    st = driver.FinalizeWithSnapshot(&emitter, &snapshot);
-    if (st.ok()) spec_.session->Save(r, std::move(snapshot));
-  } else {
-    st = driver.Finalize(&emitter);
+  std::vector<Record> snapshot;
+  Status st = driver.Finalize(
+      &emitter, spec_.session != nullptr ? &snapshot : nullptr);
+  if (st.ok() && spec_.session != nullptr) {
+    spec_.session->Save(r, std::move(snapshot));
   }
-  if (const core::PartialStore* store = driver.store()) {
-    ctx->counters()->Add(kCtrSpills, store->stats().spills);
-    ctx->counters()->Add(kCtrSpilledBytes, store->stats().spilled_bytes);
-    ctx->counters()->Add(kCtrKvStoreOps,
-                         store->stats().gets + store->stats().puts);
+  if (reducer->UsesStore()) {
+    const core::StoreStats& store_stats = driver.store_stats();
+    ctx->counters()->Add(kCtrSpills, store_stats.spills);
+    ctx->counters()->Add(kCtrSpilledBytes, store_stats.spilled_bytes);
+    ctx->counters()->Add(kCtrKvStoreOps, store_stats.folds);
   }
   BMR_RETURN_IF_ERROR(st);
   metrics_->SampleMemory(r, driver.MemoryBytes());

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <string_view>
 #include <utility>
 
 namespace bmr::obs {
@@ -123,8 +124,14 @@ void Tracer::RecordLatency(const char* name, uint64_t micros) {
 #else
   if (!enabled()) return;
   MutexLock lock(hist_mu_);
-  histograms_[name].Add(micros);
+  HistogramLocked(name).Add(micros);
 #endif
+}
+
+LogHistogram& Tracer::HistogramLocked(const char* name) {
+  auto it = histograms_.find(std::string_view(name));
+  if (it == histograms_.end()) it = histograms_.emplace(name, LogHistogram()).first;
+  return it->second;
 }
 
 void Tracer::MergeHistogram(const char* name, const LogHistogram& h) {
@@ -134,7 +141,7 @@ void Tracer::MergeHistogram(const char* name, const LogHistogram& h) {
 #else
   if (!enabled() || h.count() == 0) return;
   MutexLock lock(hist_mu_);
-  histograms_[name].Merge(h);
+  HistogramLocked(name).Merge(h);
 #endif
 }
 
@@ -172,7 +179,7 @@ TraceLog Tracer::CollectTrace() {
 
 std::map<std::string, LogHistogram> Tracer::SnapshotHistograms() const {
   MutexLock lock(hist_mu_);
-  return histograms_;
+  return {histograms_.begin(), histograms_.end()};
 }
 
 SpanId CurrentSpan() { return t_current_span; }

@@ -149,8 +149,13 @@ class Tracer {
   mutable Mutex central_mu_;
   std::vector<Span> central_ BMR_GUARDED_BY(central_mu_);
 
+  /// The histogram named `name`, created on first use.  A transparent
+  /// lookup: a sample into an existing histogram allocates nothing.
+  LogHistogram& HistogramLocked(const char* name) BMR_REQUIRES(hist_mu_);
+
   mutable Mutex hist_mu_;
-  std::map<std::string, LogHistogram> histograms_ BMR_GUARDED_BY(hist_mu_);
+  std::map<std::string, LogHistogram, std::less<>> histograms_
+      BMR_GUARDED_BY(hist_mu_);
 };
 
 /// The calling thread's innermost open ScopedSpan (0 = none): the

@@ -64,8 +64,10 @@ struct SimJob {
   double merge_cost_per_record = 1.0e-6;
   /// Grouped reduce-function cost per record (with barrier).
   double reduce_cost_per_record = 1.0e-6;
-  /// Barrier-less fold cost per record: store get + update + put.  The
-  /// red-black tree path the paper's Sort analysis highlights.
+  /// Barrier-less fold cost per record: one store probe plus the update
+  /// in place (the engine's PartialStore::Fold).  Profiles keep the
+  /// paper's TreeMap get + update + put cost — the red-black tree path
+  /// its Sort analysis highlights — so Fig. 6(a) does not drift.
   double incremental_cost_per_record = 1.6e-6;
   /// Final emission cost per distinct key (barrier-less only).
   double finalize_cost_per_key = 0.8e-6;

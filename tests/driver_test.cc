@@ -116,8 +116,11 @@ TEST(BarrierlessDriverTest, SpillingStoreMatchesInMemory) {
       ASSERT_TRUE(
           driver.Consume(Slice(key), Slice(EncodeI64(1)), &emitter).ok());
     }
-    EXPECT_GT(driver.store()->stats().spills, 0u);
+    EXPECT_GT(driver.store_stats().spills, 0u);
     ASSERT_TRUE(driver.Finalize(&emitter).ok());
+    // The store is released at Finalize; its statistics survive.
+    EXPECT_GT(driver.store_stats().spills, 0u);
+    EXPECT_EQ(driver.MemoryBytes(), 0u);
   }
   EXPECT_EQ(out_mem, out_spill);
 }

@@ -51,15 +51,15 @@ TEST(Tracer, DisabledTracerRecordsNothing) {
     obs::ScopedSpan span(&tracer, "noop", "test");
     EXPECT_EQ(span.id(), 0u);
     EXPECT_EQ(obs::CurrentSpan(), 0u);
-    obs::LatencyTimer timer(&tracer, obs::kHStoreGetUs);
+    obs::LatencyTimer timer(&tracer, obs::kHStoreFoldUs);
   }
-  tracer.RecordLatency(obs::kHStoreGetUs, 5);
+  tracer.RecordLatency(obs::kHStoreFoldUs, 5);
   EXPECT_TRUE(tracer.CollectTrace().spans.empty());
   EXPECT_TRUE(tracer.SnapshotHistograms().empty());
 
   // Null tracer: the instrumented call sites pass nullptr freely.
   obs::ScopedSpan null_span(nullptr, "noop", "test");
-  obs::LatencyTimer null_timer(nullptr, obs::kHStoreGetUs);
+  obs::LatencyTimer null_timer(nullptr, obs::kHStoreFoldUs);
   EXPECT_EQ(null_span.id(), 0u);
 }
 
@@ -146,18 +146,18 @@ TEST(Tracer, ThreadsGetDistinctLanesAndExplicitParents) {
 TEST(Tracer, LatencyHistogramsAccumulateAndMerge) {
   obs::Tracer tracer;
   tracer.Enable();
-  tracer.RecordLatency(obs::kHStoreGetUs, 3);
-  tracer.RecordLatency(obs::kHStoreGetUs, 100);
+  tracer.RecordLatency(obs::kHStoreFoldUs, 3);
+  tracer.RecordLatency(obs::kHStoreFoldUs, 100);
 
   LogHistogram local;
   local.Add(7);
   local.Add(9);
-  tracer.MergeHistogram(obs::kHStoreGetUs, local);
-  tracer.MergeHistogram(obs::kHStorePutUs, LogHistogram());  // empty: no-op
+  tracer.MergeHistogram(obs::kHStoreFoldUs, local);
+  tracer.MergeHistogram(obs::kHReduceInvokeUs, LogHistogram());  // empty: no-op
 
   auto histograms = tracer.SnapshotHistograms();
   ASSERT_EQ(histograms.size(), 1u);
-  const LogHistogram& h = histograms.at(obs::kHStoreGetUs);
+  const LogHistogram& h = histograms.at(obs::kHStoreFoldUs);
   EXPECT_EQ(h.count(), 4u);
   EXPECT_EQ(h.sum(), 119u);
   EXPECT_EQ(h.min(), 3u);
@@ -388,17 +388,17 @@ TEST(Exporters, PrometheusValidatorEnforcesNamingAndCoherence) {
   EXPECT_FALSE(obs::ValidatePrometheusText("bmr_job_stuff 1\n").ok());
   // Histogram whose cumulative buckets decrease.
   EXPECT_FALSE(obs::ValidatePrometheusText(
-                   "bmr_store_get_us_bucket{le=\"1\"} 5\n"
-                   "bmr_store_get_us_bucket{le=\"3\"} 2\n"
-                   "bmr_store_get_us_bucket{le=\"+Inf\"} 5\n"
-                   "bmr_store_get_us_sum 9\n"
-                   "bmr_store_get_us_count 5\n")
+                   "bmr_store_fold_us_bucket{le=\"1\"} 5\n"
+                   "bmr_store_fold_us_bucket{le=\"3\"} 2\n"
+                   "bmr_store_fold_us_bucket{le=\"+Inf\"} 5\n"
+                   "bmr_store_fold_us_sum 9\n"
+                   "bmr_store_fold_us_count 5\n")
                    .ok());
   // +Inf bucket disagreeing with _count.
   EXPECT_FALSE(obs::ValidatePrometheusText(
-                   "bmr_store_get_us_bucket{le=\"+Inf\"} 4\n"
-                   "bmr_store_get_us_sum 9\n"
-                   "bmr_store_get_us_count 5\n")
+                   "bmr_store_fold_us_bucket{le=\"+Inf\"} 4\n"
+                   "bmr_store_fold_us_sum 9\n"
+                   "bmr_store_fold_us_count 5\n")
                    .ok());
 }
 
@@ -616,8 +616,8 @@ TEST(EngineTracing, TracedRunProducesNestedSpansAndHistograms) {
 
   for (const char* name :
        {obs::kHShuffleFetchRttUs, obs::kHShuffleQueueWaitUs,
-        obs::kHReduceInvokeUs, obs::kHStoreGetUs, obs::kHStorePutUs,
-        obs::kHRpcCallInprocUs, obs::kHOutputWriteUs}) {
+        obs::kHReduceInvokeUs, obs::kHStoreFoldUs, obs::kHRpcCallInprocUs,
+        obs::kHOutputWriteUs}) {
     auto it = result.histograms.find(name);
     ASSERT_NE(it, result.histograms.end()) << name;
     EXPECT_GT(it->second.count(), 0u) << name;
@@ -793,7 +793,7 @@ TEST(GoldenText, FormatJobMetricsIsStable) {
 
   LogHistogram h;
   h.Add(3);
-  m.histograms[obs::kHStoreGetUs] = h;
+  m.histograms[obs::kHStoreFoldUs] = h;
   EXPECT_EQ(
       mr::FormatJobMetrics("gold", m),
       "[gold] elapsed 1.500s  maps done 0.250s..0.750s\n"
@@ -801,7 +801,7 @@ TEST(GoldenText, FormatJobMetricsIsStable) {
       "[gold]   map_input_records                100\n"
       "[gold]   reduce_output_records            40\n"
       "[gold] 1 latency histograms\n"
-      "[gold]   bmr_store_get_us                     "
+      "[gold]   bmr_store_fold_us                    "
       "count 1        mean 3.0        p50<=3        p95<=3        p99<=3  "
       "      max 3\n");
 }

@@ -302,8 +302,7 @@ int RunCheck(CliOptions cli) {
   }
   for (const char* name :
        {obs::kHShuffleFetchRttUs, obs::kHShuffleQueueWaitUs,
-        obs::kHReduceInvokeUs, obs::kHStoreGetUs, obs::kHStorePutUs,
-        obs::kHOutputWriteUs}) {
+        obs::kHReduceInvokeUs, obs::kHStoreFoldUs, obs::kHOutputWriteUs}) {
     auto it = metrics->histograms.find(name);
     if (it == metrics->histograms.end() || it->second.count() == 0) {
       return fail(std::string("missing/empty histogram ") + name);
