@@ -8,7 +8,9 @@
 // custom run() doing exactly this with a TreeMap; here the fold is
 // factored into an interface so the framework can own the partial-result
 // storage — which is what makes the pluggable overflow management of
-// Section 5 (spill-and-merge, disk-spilling KV store) possible.
+// Section 5 (spill-and-merge, disk-spilling KV store) possible, and lets
+// the stores index by hash and sort once, at spill and final emission,
+// instead of keeping a tree ordered on every record.
 //
 // The seven Reduce classes of Table 1 map onto it as:
 //   Identity                  — UsesStore()=false, Update emits directly

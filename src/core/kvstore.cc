@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/serde.h"
 #include "faults/fault_injector.h"
@@ -12,8 +13,7 @@ namespace bmr::core {
 KvStoreBackend::KvStoreBackend(const StoreConfig& config)
     : config_(config),
       scratch_(config.scratch_dir),
-      log_path_(scratch_.FilePath("kvlog")),
-      index_(KeyLess{config.key_cmp}) {
+      log_path_(scratch_.FilePath("kvlog")) {
   // A failed open is surfaced by CheckLog() on the first log access —
   // constructors can't return Status.
   log_ = std::fopen(log_path_.c_str(), "w+b");
@@ -32,7 +32,7 @@ void KvStoreBackend::Touch(LruList::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
 
-Status KvStoreBackend::WriteToLog(Slice key, Slice value, DiskLocation* loc) {
+Status KvStoreBackend::WriteToLog(Slice value, DiskLocation* loc) {
   BMR_RETURN_IF_ERROR(CheckLog());
   if (config_.fault_injector != nullptr) {
     BMR_RETURN_IF_ERROR(config_.fault_injector->OnSpillWrite(log_path_));
@@ -49,7 +49,6 @@ Status KvStoreBackend::WriteToLog(Slice key, Slice value, DiskLocation* loc) {
   loc->length = static_cast<uint32_t>(value.size());
   loc->on_disk = true;
   log_tail_ += value.size();
-  (void)key;
   return Status::Ok();
 }
 
@@ -74,18 +73,13 @@ Status KvStoreBackend::ReadFromLog(const DiskLocation& loc,
 Status KvStoreBackend::EvictIfNeeded() {
   while (cache_bytes_ > config_.kv_cache_bytes && !lru_.empty()) {
     CacheEntry& victim = lru_.back();
+    Slot& slot = victim.node->second;
     if (victim.dirty) {
-      auto idx = index_.find(victim.key);
-      if (idx == index_.end()) {
-        return Status::Internal("kv cache entry missing from index");
-      }
-      BMR_RETURN_IF_ERROR(
-          WriteToLog(Slice(victim.key), Slice(victim.value), &idx->second));
+      BMR_RETURN_IF_ERROR(WriteToLog(Slice(victim.value), &slot.disk));
     }
-    cache_bytes_ -= EntryFootprint(victim.key.size(), victim.value.size());
-    // Heterogeneous erase is C++23; find-then-erase avoids a key copy.
-    auto cidx = cache_index_.find(Slice(victim.key));
-    if (cidx != cache_index_.end()) cache_index_.erase(cidx);
+    cache_bytes_ -=
+        EntryFootprint(victim.node->first.size(), victim.value.size());
+    slot.cached = lru_.end();
     lru_.pop_back();
     ++evictions_;
   }
@@ -94,33 +88,33 @@ Status KvStoreBackend::EvictIfNeeded() {
 
 Status KvStoreBackend::Fold(Slice key, FoldFn fn) {
   ++stats_.folds;
-  auto hit = cache_index_.find(key);  // transparent: no key copy
-  if (hit != cache_index_.end()) {
+  auto it = index_.find(key);  // transparent: no key copy
+  if (it != index_.end() && it->second.cached != lru_.end()) {
     ++cache_hits_;
-    CacheEntry& entry = *hit->second;
+    CacheEntry& entry = *it->second.cached;
     const size_t old_size = entry.value.size();
     fn(&entry.value, /*fresh=*/false);
     cache_bytes_ = cache_bytes_ - old_size + entry.value.size();
     entry.dirty = true;
-    Touch(hit->second);
+    Touch(it->second.cached);
   } else {
-    // Cache miss: one directory probe finds the on-disk version or the
-    // insert position (location filled on evict).  Only a new key
-    // materializes an owning key string.
-    auto idx = index_.lower_bound(key);
-    if (idx == index_.end() || index_.key_comp()(key, idx->first)) {
-      idx = index_.emplace_hint(idx, key.ToString(), DiskLocation{});
+    // Cache miss: the same probe found the on-disk version, or the key
+    // is new.  Only a new key materializes an owning key string.
+    if (it == index_.end()) {
+      it = index_.emplace(key.ToString(), Slot{DiskLocation{}, lru_.end()})
+               .first;
     }
-    const bool fresh = !idx->second.on_disk;
+    Slot& slot = it->second;
+    const bool fresh = !slot.disk.on_disk;
     std::string value;
     if (!fresh) {
       ++cache_misses_;
-      BMR_RETURN_IF_ERROR(ReadFromLog(idx->second, &value));
+      BMR_RETURN_IF_ERROR(ReadFromLog(slot.disk, &value));
     }
     fn(&value, fresh);
     cache_bytes_ += EntryFootprint(key.size(), value.size());
-    lru_.push_front(CacheEntry{idx->first, std::move(value), /*dirty=*/true});
-    cache_index_[lru_.front().key] = lru_.begin();
+    lru_.push_front(CacheEntry{&*it, std::move(value), /*dirty=*/true});
+    slot.cached = lru_.begin();
   }
   stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, cache_bytes_);
   // Eviction to make room may have to write back a dirty victim; a
@@ -130,14 +124,16 @@ Status KvStoreBackend::Fold(Slice key, FoldFn fn) {
 
 Status KvStoreBackend::Scan(const MergeFn& merge, const EmitFn& fn) {
   (void)merge;
-  for (const auto& [key, loc] : index_) {
-    auto hit = cache_index_.find(key);
-    if (hit != cache_index_.end()) {
-      fn(Slice(key), Slice(hit->second->value));
-    } else if (loc.on_disk) {
-      std::string value;
-      BMR_RETURN_IF_ERROR(ReadFromLog(loc, &value));
-      fn(Slice(key), Slice(value));
+  std::vector<const Node*> sorted;
+  BMR_RETURN_IF_ERROR(SortedEntries(index_, config_.key_cmp, &sorted));
+  std::string value;
+  for (const Node* node : sorted) {
+    const Slot& slot = node->second;
+    if (slot.cached != lru_.end()) {
+      fn(Slice(node->first), Slice(slot.cached->value));
+    } else if (slot.disk.on_disk) {
+      BMR_RETURN_IF_ERROR(ReadFromLog(slot.disk, &value));
+      fn(Slice(node->first), Slice(value));
     } else {
       return Status::Internal("kv index entry with no value anywhere");
     }

@@ -13,9 +13,9 @@
 
 #include <cstdio>
 #include <list>
-#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "core/ordered_map.h"
 #include "core/partial_store.h"
@@ -45,16 +45,24 @@ class KvStoreBackend final : public PartialStore {
     uint32_t length = 0;
     bool on_disk = false;  // false => value only exists in cache
   };
+  struct Slot;
+  /// An index node: the key and its slot.  Nodes never move or die
+  /// while the store lives, so the LRU list points at them.
+  using Node = std::pair<const std::string, Slot>;
   struct CacheEntry {
-    std::string key;
+    Node* node;  // the key's index node: its key, and the slot to update
     std::string value;
     bool dirty = false;
   };
   using LruList = std::list<CacheEntry>;
+  struct Slot {
+    DiskLocation disk;         // latest written-back version, if any
+    LruList::iterator cached;  // lru_.end() when not in the cache
+  };
 
   void Touch(LruList::iterator it);
   [[nodiscard]] Status EvictIfNeeded();
-  [[nodiscard]] Status WriteToLog(Slice key, Slice value, DiskLocation* loc);
+  [[nodiscard]] Status WriteToLog(Slice value, DiskLocation* loc);
   [[nodiscard]] Status ReadFromLog(const DiskLocation& loc, std::string* value);
   /// Ok iff the backing log file opened; otherwise an explanatory error.
   [[nodiscard]] Status CheckLog() const;
@@ -66,14 +74,12 @@ class KvStoreBackend final : public PartialStore {
   uint64_t log_tail_ = 0;
 
   LruList lru_;  // front = most recent
-  std::unordered_map<std::string, LruList::iterator, SliceHash, SliceEq>
-      cache_index_;
   uint64_t cache_bytes_ = 0;
 
-  /// Ordered key directory: key → latest on-disk location (if any).
-  /// The ordering gives the final merged iteration for free (BDB's
-  /// B-tree keeps keys sorted the same way).
-  std::map<std::string, DiskLocation, KeyLess> index_;
+  /// The one key index: key → {disk location, LRU position}.  A fold is
+  /// one probe; Scan sorts the keys once (BDB's B-tree keeps them
+  /// sorted on every insert instead).
+  std::unordered_map<std::string, Slot, SliceHash, SliceEq> index_;
 
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;

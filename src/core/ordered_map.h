@@ -1,28 +1,29 @@
-// Ordered (key → partial) map with a pluggable comparator — the role
-// the paper's Java TreeMap (red-black tree) plays.  std::map is a
-// red-black tree in every mainstream stdlib, so the asymptotics match
-// the paper's analysis (O(log n) insert vs the framework's merge sort,
-// which is what makes barrier-less Sort slightly lose in Fig. 6(a)).
+// Key identity and key order for the partial-result stores.
 //
-// KeyLess is transparent: lookups take Slice directly (std::string
-// converts implicitly), so the per-op key.ToString() heap allocation is
-// gone from the store hot paths — only an actual *insert* materializes
-// an owning std::string key.
+// The stores index keys by hash (SliceHash/SliceEq: byte identity,
+// transparent, so a probe takes a Slice and only an insert copies the
+// key) and make key order only where it is consumed: a spill writes a
+// sorted run, and Scan emits in key order.  Each sorts once, with
+// SortedEntries, instead of keeping a tree ordered on every fold.
+//
+// Comparator contract: a key comparator returns 0 only for byte-equal
+// keys.  The hash index keeps byte-distinct keys apart, so a tie would
+// emit one logical key twice; SortedEntries checks for it on every sort.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/status.h"
 #include "mr/types.h"
 
 namespace bmr::core {
 
 struct KeyLess {
   mr::KeyCompareFn cmp;  // null => bytewise
-
-  using is_transparent = void;
 
   bool operator()(Slice a, Slice b) const {
     if (!cmp) return a.view() < b.view();
@@ -31,8 +32,7 @@ struct KeyLess {
 };
 
 /// Transparent hash/equality for unordered containers keyed by
-/// std::string: C++20 heterogeneous lookup lets the KV cache index be
-/// probed with a Slice directly, no per-op key materialization.
+/// std::string (C++20 heterogeneous lookup).
 struct SliceHash {
   using is_transparent = void;
   size_t operator()(Slice s) const {
@@ -45,10 +45,36 @@ struct SliceEq {
   bool operator()(Slice a, Slice b) const { return a.view() == b.view(); }
 };
 
-using OrderedPartialMap = std::map<std::string, std::string, KeyLess>;
+/// The status a store returns when the key comparator ties two
+/// byte-distinct keys.
+[[nodiscard]] inline Status ComparatorTiesDistinctKeys() {
+  return Status::InvalidArgument(
+      "key comparator returned 0 for byte-distinct keys; it must order "
+      "every pair of distinct keys");
+}
 
-inline OrderedPartialMap MakeOrderedPartialMap(const mr::KeyCompareFn& cmp) {
-  return OrderedPartialMap(KeyLess{cmp});
+/// Pointers to every entry of a hash index keyed by std::string, sorted
+/// by key under `cmp` (null = bytewise) into `*out`.  Returns
+/// ComparatorTiesDistinctKeys() if two adjacent keys are not strictly
+/// increasing.  One compare per entry on top of the sort, in every
+/// build type.
+template <typename Index>
+[[nodiscard]] Status SortedEntries(
+    const Index& index, const mr::KeyCompareFn& cmp,
+    std::vector<const typename Index::value_type*>* out) {
+  const KeyLess less{cmp};
+  out->clear();
+  out->reserve(index.size());
+  for (const auto& entry : index) out->push_back(&entry);
+  std::sort(out->begin(), out->end(), [&less](const auto* a, const auto* b) {
+    return less(Slice(a->first), Slice(b->first));
+  });
+  for (size_t i = 1; i < out->size(); ++i) {
+    if (!less(Slice((*out)[i - 1]->first), Slice((*out)[i]->first))) {
+      return ComparatorTiesDistinctKeys();
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace bmr::core

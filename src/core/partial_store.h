@@ -4,8 +4,8 @@
 // depending on the Reduce class (Table 1); for large inputs the reducer
 // heap overflows, so storage is pluggable:
 //
-//   kInMemory   — ordered memtable, fails with RESOURCE_EXHAUSTED at the
-//                 heap cap (reproduces the Fig. 5(a) OOM).
+//   kInMemory   — hash-indexed memtable, fails with RESOURCE_EXHAUSTED
+//                 at the heap cap (reproduces the Fig. 5(a) OOM).
 //   kSpillMerge — §5.1: the same memtable, but on reaching a threshold
 //                 partial results are sorted and moved to a local spill
 //                 file; a final k-way merge combines per-key fragments
@@ -50,7 +50,10 @@ struct StoreConfig {
   std::string scratch_dir;
   /// kKvStore: LRU cache capacity in bytes.
   uint64_t kv_cache_bytes = 64ull << 20;
-  /// Key ordering used for final emission and spill sorting.
+  /// Key ordering used for final emission and spill sorting.  Must
+  /// return 0 only for byte-equal keys: the stores tell keys apart by
+  /// their bytes, and a spill or Scan that finds two distinct keys
+  /// comparing equal fails with INVALID_ARGUMENT.
   mr::KeyCompareFn key_cmp;  // defaults to bytewise when null
   /// Optional fault injector consulted on every spill-file write/read
   /// (chaos testing).  Not owned; null = no injection.
@@ -128,6 +131,8 @@ class PartialStore {
   /// result, invoking `fn(key, partial)`.  `merge` combines fragments of
   /// the same key from different spills.  Non-destructive: folding may
   /// continue afterwards, which powers progressive (online) snapshots.
+  /// Like a spill, fails with INVALID_ARGUMENT if key_cmp ties two
+  /// byte-distinct keys.
   using MergeFn = std::function<std::string(Slice key, Slice a, Slice b)>;
   using EmitFn = std::function<void(Slice key, Slice partial)>;
   [[nodiscard]] virtual Status Scan(const MergeFn& merge,

@@ -1,7 +1,7 @@
 #include "core/spill_merge_store.h"
 
 #include <algorithm>
-#include <queue>
+#include <memory>
 
 #include "core/spill_file.h"
 #include "obs/metric_names.h"
@@ -25,13 +25,12 @@ Status CheckHeapCap(uint64_t bytes, uint64_t cap) {
 
 SpillMergeStore::SpillMergeStore(const StoreConfig& config)
     : config_(config),
-      spills_(config.type == StoreType::kSpillMerge),
-      memtable_(MakeOrderedPartialMap(config.key_cmp)) {}
+      spills_(config.type == StoreType::kSpillMerge) {}
 
 Status SpillMergeStore::Fold(Slice key, FoldFn fn) {
   ++stats_.folds;
-  auto it = memtable_.lower_bound(key);  // transparent: no key copy
-  if (it != memtable_.end() && !memtable_.key_comp()(key, it->first)) {
+  auto it = memtable_.find(key);  // transparent: no key copy
+  if (it != memtable_.end()) {
     const size_t old_size = it->second.size();
     fn(&it->second, /*fresh=*/false);
     memory_bytes_ = memory_bytes_ - old_size + it->second.size();
@@ -47,7 +46,7 @@ Status SpillMergeStore::Fold(Slice key, FoldFn fn) {
     // (keys, bytes, peak stats) exactly as it found it, so the OOM
     // boundary is observable and consistent.
     BMR_RETURN_IF_ERROR(CheckHeapCap(with_entry, config_.heap_limit_bytes));
-    memtable_.emplace_hint(it, key.ToString(), std::move(partial));
+    memtable_.emplace(key.ToString(), std::move(partial));
     memory_bytes_ = with_entry;
     ++approx_keys_;
   }
@@ -69,13 +68,16 @@ Status SpillMergeStore::SpillNow() {
   obs::ScopedSpan spill_span(config_.tracer, obs::kSpanStoreSpill, "store",
                              static_cast<int64_t>(spill_paths_.size()));
   obs::LatencyTimer spill_latency(config_.tracer, obs::kHStoreSpillUs);
+  std::vector<const Memtable::value_type*> run;
+  BMR_RETURN_IF_ERROR(SortedEntries(memtable_, config_.key_cmp, &run));
   if (!scratch_) scratch_.emplace(config_.scratch_dir);
   std::string path =
       scratch_->FilePath("spill_" + std::to_string(spill_paths_.size()));
   SpillFileWriter writer(path, config_.fault_injector);
   BMR_RETURN_IF_ERROR(writer.Open());
-  for (const auto& [key, partial] : memtable_) {
-    BMR_RETURN_IF_ERROR(writer.Append(Slice(key), Slice(partial)));
+  for (const auto* entry : run) {
+    BMR_RETURN_IF_ERROR(
+        writer.Append(Slice(entry->first), Slice(entry->second)));
   }
   BMR_RETURN_IF_ERROR(writer.Close());
   spill_paths_.push_back(path);
@@ -87,17 +89,19 @@ Status SpillMergeStore::SpillNow() {
 }
 
 Status SpillMergeStore::Scan(const MergeFn& merge, const EmitFn& fn) {
-  // Merge heads: every spill file plus the live memtable, all already
-  // in key order.  Standard loser-tree-free k-way merge over a heap.
+  // The memtable, sorted once (and left in place: Scan is
+  // non-destructive), is one more run beside the spill files.
+  std::vector<const Memtable::value_type*> memtable_run;
+  BMR_RETURN_IF_ERROR(SortedEntries(memtable_, config_.key_cmp, &memtable_run));
+
+  // Merge heads: every spill file plus the memtable run, all in key
+  // order.  Standard loser-tree-free k-way merge over a heap.
   struct Head {
     std::string key;
     std::string value;
-    size_t source;  // spill index, or spills.size() for the memtable
+    size_t source;  // spill index, or spill_paths_.size() for the memtable
   };
-  mr::KeyCompareFn cmp = config_.key_cmp;
-  auto key_less = [&cmp](const Slice a, const Slice b) {
-    return cmp ? cmp(a, b) < 0 : a.view() < b.view();
-  };
+  const KeyLess key_less{config_.key_cmp};
   // Heap orders by (key asc, source asc) — source order keeps the merge
   // fold deterministic (spill order, then memtable), matching the order
   // in which the fragments were produced.
@@ -106,8 +110,12 @@ Status SpillMergeStore::Scan(const MergeFn& merge, const EmitFn& fn) {
     if (key_less(Slice(b.key), Slice(a.key))) return true;
     return a.source > b.source;
   };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> heap(
-      head_greater);
+  std::vector<Head> heap;
+  heap.reserve(spill_paths_.size() + 1);
+  auto push = [&heap, &head_greater](Head h) {
+    heap.push_back(std::move(h));
+    std::push_heap(heap.begin(), heap.end(), head_greater);
+  };
 
   std::vector<std::unique_ptr<SpillFileReader>> readers;
   readers.reserve(spill_paths_.size());
@@ -124,19 +132,18 @@ Status SpillMergeStore::Scan(const MergeFn& merge, const EmitFn& fn) {
     if (has) {
       stats_.disk_read_bytes += h.key.size() + h.value.size();
       ++stats_.disk_reads;
-      heap.push(std::move(h));
+      push(std::move(h));
     }
     return Status::Ok();
   };
   for (size_t i = 0; i < readers.size(); ++i) {
     BMR_RETURN_IF_ERROR(advance_reader(i));
   }
-  auto memtable_it = memtable_.begin();
+  size_t memtable_next = 0;
   auto push_memtable_head = [&] {
-    if (memtable_it != memtable_.end()) {
-      heap.push(Head{memtable_it->first, memtable_it->second,
-                     spill_paths_.size()});
-      ++memtable_it;
+    if (memtable_next < memtable_run.size()) {
+      const auto* entry = memtable_run[memtable_next++];
+      push(Head{entry->first, entry->second, spill_paths_.size()});
     }
   };
   push_memtable_head();
@@ -150,16 +157,21 @@ Status SpillMergeStore::Scan(const MergeFn& merge, const EmitFn& fn) {
   };
 
   while (!heap.empty()) {
-    Head h = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), head_greater);
+    Head h = std::move(heap.back());
+    heap.pop_back();
     if (h.source < readers.size()) {
       BMR_RETURN_IF_ERROR(advance_reader(h.source));
     } else {
       push_memtable_head();
     }
-    bool same_key = have_current && !key_less(Slice(current_key), Slice(h.key)) &&
-                    !key_less(Slice(h.key), Slice(current_key));
-    if (same_key) {
+    // Heads pop in key order, so a head that does not sort after the
+    // current key is a fragment of it.
+    if (have_current && !key_less(Slice(current_key), Slice(h.key))) {
+      if (h.key != current_key) {
+        // Fragments from different runs that the comparator ties.
+        return ComparatorTiesDistinctKeys();
+      }
       current_partial =
           merge ? merge(Slice(h.key), Slice(current_partial), Slice(h.value))
                 : std::move(h.value);

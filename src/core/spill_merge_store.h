@@ -1,12 +1,13 @@
 // Memtable partial-result store: the in-memory store and the disk
 // spill-and-merge store (Section 5.1) in one class.
 //
-// Partial results accumulate in an ordered memtable (the paper's Java
-// TreeMap).  With spilling on (kSpillMerge), when the estimated
-// footprint reaches the threshold the whole memtable is written — in
-// key order — to a new local spill file and memory is released.  A key
-// may therefore have fragments in several spill files plus the live
-// memtable; Scan k-way merges all runs and folds fragments of equal
+// Partial results accumulate in a hash-indexed memtable: a fold is one
+// hash probe and an update in place.  With spilling on (kSpillMerge),
+// when the estimated footprint reaches the threshold the memtable is
+// sorted once and written — in key order — to a new local spill file,
+// and memory is released.  A key may therefore have fragments in
+// several spill files plus the live memtable; Scan sorts the memtable
+// into one more run, k-way merges all runs and folds fragments of equal
 // keys together with the application's merge function (which the paper
 // notes is usually the same as its combiner).  With spilling off
 // (kInMemory) the heap cap is the only bound — the Fig. 5(a) OOM — and
@@ -16,6 +17,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/ordered_map.h"
@@ -42,10 +44,13 @@ class SpillMergeStore final : public PartialStore {
   size_t num_spill_files() const { return spill_paths_.size(); }
 
  private:
+  using Memtable =
+      std::unordered_map<std::string, std::string, SliceHash, SliceEq>;
+
   StoreConfig config_;
   bool spills_;                        // false: the in-memory store
   std::optional<ScratchDir> scratch_;  // created by the first spill
-  OrderedPartialMap memtable_;
+  Memtable memtable_;
   uint64_t memory_bytes_ = 0;
   /// Upper bound on distinct keys (over-counts keys split across
   /// spills); exact count requires the merge pass.

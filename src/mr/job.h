@@ -46,7 +46,11 @@ struct JobSpec {
   // -- Shuffle shape ----------------------------------------------------
   int num_reducers = 1;
   /// Sort order of intermediate keys (with-barrier merge order, and
-  /// the final-emission order of barrier-less stores).
+  /// the final-emission order of barrier-less stores).  Must return 0
+  /// only for byte-equal keys: barrier-less stores tell keys apart by
+  /// their bytes and fail the reduce task with INVALID_ARGUMENT on a
+  /// tie between distinct keys.  Grouping distinct keys is group_cmp's
+  /// job.
   KeyCompareFn sort_cmp;   // null = bytewise
   /// Grouping comparator for secondary sort (kNN's barrier version
   /// groups by a key prefix).  Null = same as sort_cmp.

@@ -6,7 +6,7 @@
 // The measured machine differs from the paper's 2010-era Xeons, so the
 // *absolute* constants in profiles.cc are period-calibrated; this
 // module verifies the *ratios* that drive every result shape (e.g.
-// red-black insert slower than merge per record — the Fig. 6(a)
+// the unique-key fold slower than merge per record — the Fig. 6(a)
 // mechanism).
 #pragma once
 
@@ -26,9 +26,9 @@ struct MicroCosts {
   double merge_secs_per_record = 0;
   /// Barrier path: grouped reduce function application, per record.
   double grouped_reduce_secs_per_record = 0;
-  /// Barrier-less path: store get + fold + put, per record.
+  /// Barrier-less path: one store fold, per record.
   double incremental_secs_per_record = 0;
-  /// Barrier-less path: final ordered emission, per distinct key.
+  /// Barrier-less path: final sort + ordered emission, per distinct key.
   double finalize_secs_per_key = 0;
 };
 
@@ -41,7 +41,7 @@ MicroCosts MeasureAggregationCosts(uint64_t records, uint64_t distinct,
                                        core::StoreType::kInMemory);
 
 /// Measure Sort-shaped costs: unique-ish keys, count partials — the
-/// degenerate case where the red-black path loses to the merge.
+/// degenerate case where the fold loses to the merge.
 MicroCosts MeasureSortCosts(uint64_t records, int runs, uint64_t seed);
 
 }  // namespace bmr::simmr

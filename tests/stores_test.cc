@@ -175,18 +175,70 @@ TEST_P(StoreContractTest, CountsMatchReferenceAndScanIsRepeatable) {
 }
 
 TEST_P(StoreContractTest, ScanFollowsTheKeyComparator) {
+  // The stores index by hash and sort only at spill and Scan, so Scan's
+  // order must come from the comparator alone: two fold orders of one
+  // multiset — enough distinct keys to force rehashes — scan to the
+  // same bytes, strictly increasing.
+  const std::vector<std::string> keys = RandomKeys(20000, 5, 5000);
+  std::vector<std::string> permuted = keys;
+  Pcg32 rng(6);
+  for (size_t i = permuted.size(); i > 1; --i) {
+    std::swap(permuted[i - 1], permuted[rng.NextBounded(i)]);
+  }
+  const mr::KeyCompareFn reverse = [](Slice a, Slice b) {
+    return b.Compare(a);
+  };
+  for (const mr::KeyCompareFn& cmp : {mr::KeyCompareFn(), reverse}) {
+    StoreConfig config = Config();
+    config.key_cmp = cmp;
+    Entries scans[2];
+    for (int order = 0; order < 2; ++order) {
+      auto store = CreatePartialStore(config);
+      for (const auto& key : order == 0 ? keys : permuted) {
+        ASSERT_TRUE(FoldAdd(store.get(), Slice(key), 1).ok());
+      }
+      scans[order] = ScanEntries(store.get());
+    }
+    EXPECT_EQ(scans[0], scans[1]) << "Scan depends on the fold order";
+    const Entries& entries = scans[0];
+    for (size_t i = 1; i < entries.size(); ++i) {
+      const int c = Slice(entries[i - 1].first).Compare(entries[i].first);
+      ASSERT_TRUE(cmp ? c > 0 : c < 0)
+          << "duplicate or misordered key at " << i;
+    }
+    Counts counts;
+    for (const auto& [key, value] : entries) {
+      DecodeI64(Slice(value), &counts[key]);
+    }
+    EXPECT_EQ(counts, DirectCounts(keys));
+  }
+}
+
+TEST_P(StoreContractTest, RejectsAComparatorThatTiesDistinctKeys) {
   StoreConfig config = Config();
-  config.key_cmp = [](Slice a, Slice b) { return b.Compare(a); };  // reverse
+  // Orders keys by length only, so "key10" and "key11" tie.
+  config.key_cmp = [](Slice a, Slice b) {
+    return a.size() == b.size() ? 0 : (a.size() < b.size() ? -1 : 1);
+  };
   auto store = CreatePartialStore(config);
-  for (const auto& key : RandomKeys(2000, 5, 100)) {
-    ASSERT_TRUE(FoldAdd(store.get(), Slice(key), 1).ok());
-  }
-  Entries entries = ScanEntries(store.get());
-  ASSERT_EQ(entries.size(), 100u);
-  for (size_t i = 1; i < entries.size(); ++i) {
-    EXPECT_GT(entries[i - 1].first, entries[i].first)
-        << "duplicate or misordered key";
-  }
+  ASSERT_TRUE(FoldAdd(store.get(), "key10", 1).ok());
+  ASSERT_TRUE(FoldAdd(store.get(), "key11", 1).ok());
+  Status st = store->Scan(MergeSums, [](Slice, Slice) {});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  if (GetParam().type != StoreType::kSpillMerge) return;
+
+  // A spill sorts too; and tied keys in different runs meet in Scan's
+  // merge.
+  auto* spilling = dynamic_cast<SpillMergeStore*>(store.get());
+  ASSERT_NE(spilling, nullptr);
+  st = spilling->SpillNow();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  auto split = CreatePartialStore(config);
+  ASSERT_TRUE(FoldAdd(split.get(), "key10", 1).ok());
+  ASSERT_TRUE(dynamic_cast<SpillMergeStore*>(split.get())->SpillNow().ok());
+  ASSERT_TRUE(FoldAdd(split.get(), "key11", 1).ok());
+  st = split->Scan(MergeSums, [](Slice, Slice) {});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
 }
 
 TEST_P(StoreContractTest, RejectedInsertLeavesNoTrace) {
