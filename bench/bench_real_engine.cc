@@ -86,8 +86,8 @@ int main() {
     if (result.ok()) {
       std::printf("\nbarrier-less task activity over wall time "
                   "(tasks active per phase):\n%s",
-                  bmr::mr::Timeline::RenderActivity(
-                      result.events, result.elapsed_seconds / 12)
+                  bmr::mr::RenderActivity(result.events,
+                                          result.elapsed_seconds / 12)
                       .c_str());
     }
   }
@@ -107,8 +107,7 @@ int main() {
         bmr::simmr::SimulateJob(bmr::cluster::SmallCluster(4, 2, 2), sim_job);
     std::printf("\n== One reporting schema, two execution vehicles ==\n");
     if (real.ok()) {
-      std::printf("%s", bmr::mr::FormatJobMetrics("real", real.ToMetrics())
-                            .c_str());
+      std::printf("%s", bmr::mr::FormatJobMetrics("real", real).c_str());
     }
     if (sim.ok()) {
       std::printf("%s",

@@ -51,10 +51,6 @@ if [ -n "${hits}" ]; then
 fi
 
 # ---------------------------------------------------------------------
-# 2. nodiscard — moved to tools/bmr_check (`check.sh analyze`).
-echo "lint: check 2 (nodiscard) now enforced by bmr_check analyze leg"
-
-# ---------------------------------------------------------------------
 # 3. Determinism in the simulation layers: simulated time only.
 det_re='[^_a-zA-Z](rand|srand|time)\(|random_device|system_clock|steady_clock|high_resolution_clock|sleep_for|sleep_until|this_thread'
 hits=$(grep -rnE "${det_re}" src/sim/ src/simmr/ --include='*.h' --include='*.cc' || true)
@@ -62,12 +58,6 @@ if [ -n "${hits}" ]; then
   echo "${hits}" >&2
   fail "wall-clock/randomness in src/sim//src/simmr/ — simulators must be deterministic (virtual time only)"
 fi
-
-# ---------------------------------------------------------------------
-# 4. layering — moved to tools/bmr_check (`check.sh analyze`), which
-#    builds the real include graph: direction violations against the
-#    same DAG, include cycles, and stale includes.
-echo "lint: check 4 (layering) now enforced by bmr_check analyze leg"
 
 # ---------------------------------------------------------------------
 # 5. Fault-injection encapsulation: the injector's event-matching
@@ -92,12 +82,6 @@ if [ -n "${hits}" ]; then
   echo "${hits}" >&2
   fail "per-record fifo_.Push() in src/mr/ — sinks must batch via PushAll (mr/record_batch.h)"
 fi
-
-# ---------------------------------------------------------------------
-# 7. metric-names — moved to tools/bmr_check (`check.sh analyze`),
-#    which also cross-checks the registry itself (dead constants,
-#    unregistered names at recording sites).
-echo "lint: check 7 (metric-names) now enforced by bmr_check analyze leg"
 
 # ---------------------------------------------------------------------
 # 8. Transport encapsulation: everything above src/net/ programs against

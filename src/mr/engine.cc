@@ -269,8 +269,8 @@ JobResult JobExecution::Run() {
   map_pool_->Wait();
 
   // Export the faults that fired during this run into the job's own
-  // observability: timeline events (instantaneous, task_id = kind) and
-  // per-kind counters.
+  // observability: one task event each, at its fire time (instantaneous,
+  // task_id = kind), and per-kind counters.
   if (faults::FaultInjector* injector = cluster_->fault_injector) {
     Counters fault_counters;
     for (const faults::FaultInjector::FaultRecord& rec :
@@ -281,9 +281,6 @@ JobResult JobExecution::Run() {
           std::string(obs::kCtrFaultInjectedPrefix) +
               faults::FaultKindName(rec.kind),
           1);
-      obs::FlightRecorder::Global()->Note(
-          std::string("fault.") + faults::FaultKindName(rec.kind), "fault",
-          static_cast<int64_t>(rec.kind), rec.node);
       if (rec.kind == faults::FaultKind::kNodeCrash) {
         // An injected crash is always dump-worthy forensics, even when
         // recovery saves the job.
@@ -311,7 +308,14 @@ JobResult JobExecution::Run() {
   // Every reducer has drained and every map completed: flush any encode
   // still in flight so the codec byte counts below are complete.
   shuffle_->DrainPublishes();
-  SegmentEncodeStats encode_stats = shuffle_->encode_stats();
+  const SegmentEncodeStats encode_stats = shuffle_->encode_stats();
+
+  // The result is the metrics snapshot; the fields only the engine
+  // knows are set after it lands.
+  static_cast<JobMetrics&>(result) = metrics_.Snapshot();
+  result.status = control_->status();
+  result.rpc_handler_reregistrations =
+      cluster_->transport->handler_reregistrations();
   result.data_plane.codec_raw_bytes = encode_stats.raw_bytes;
   result.data_plane.codec_wire_bytes = encode_stats.wire_bytes;
   Arena::GlobalStatsSnapshot arena_stats = Arena::GlobalStats();
@@ -320,10 +324,6 @@ JobResult JobExecution::Run() {
   BufferPool::Stats pool_stats = BufferPool::Global()->stats();
   result.data_plane.arena_buffer_reuses = pool_stats.reuses;
   result.data_plane.arena_cached_bytes = pool_stats.cached_bytes;
-
-  // Assemble the result from the metrics layer.
-  JobMetrics metrics = metrics_.Snapshot();
-  result.status = control_->status();
 
   // Post-mortem flight dump (GUIDE §15): anything that requested one
   // during the run — injected crash, tainted-reducer restart — plus a
@@ -355,42 +355,10 @@ JobResult JobExecution::Run() {
       }
     }
   }
-  result.elapsed_seconds = metrics.elapsed_seconds;
-  result.first_map_done = metrics.first_map_done;
-  result.last_map_done = metrics.last_map_done;
-  result.counters = std::move(metrics.counters);
-  result.events = std::move(metrics.events);
-  result.memory_samples = std::move(metrics.memory_samples);
-  result.output_files = std::move(metrics.output_files);
-  result.rpc_handler_reregistrations =
-      cluster_->transport->handler_reregistrations();
-  result.trace_enabled = metrics.trace_enabled;
-  result.trace = std::move(metrics.trace);
-  result.histograms = std::move(metrics.histograms);
-  result.spans_dropped = metrics.spans_dropped;
   return result;
 }
 
 }  // namespace
-
-JobMetrics JobResult::ToMetrics() const {
-  JobMetrics m;
-  m.counters = counters;
-  m.events = events;
-  m.memory_samples = memory_samples;
-  m.output_files = output_files;
-  m.elapsed_seconds = elapsed_seconds;
-  m.first_map_done = first_map_done;
-  m.last_map_done = last_map_done;
-  m.rpc_handler_reregistrations = rpc_handler_reregistrations;
-  m.data_plane = data_plane;
-  m.trace_enabled = trace_enabled;
-  m.trace = trace;
-  m.histograms = histograms;
-  m.spans_dropped = spans_dropped;
-  m.flight_dumps = flight_dumps;
-  return m;
-}
 
 JobResult JobRunner::Run(const JobSpec& spec) {
   // Job-level recovery of last resort: when task-level recovery could

@@ -9,7 +9,7 @@
 //   executors       (task_executor.h)   one map / reduce attempt body
 //   ShuffleService  (shuffle_service.h) job-scoped segment stores,
 //                                       tracker, fetch threads, sinks
-//   MetricsRegistry (metrics.h)         counters, samples, timeline
+//   MetricsRegistry (metrics.h)         counters, samples, task events
 //
 // Mode structure mirrors Hadoop 0.20 as described in §3.1 of the
 // paper:
@@ -32,7 +32,6 @@
 #include "dfs/dfs.h"
 #include "mr/job.h"
 #include "mr/metrics.h"
-#include "mr/timeline.h"
 #include "mr/types.h"
 #include "net/transport.h"
 
@@ -74,36 +73,16 @@ struct ClusterContext {
   void InstallFaultInjector(faults::FaultInjector* injector);
 };
 
-struct JobResult {
+/// A finished run: its metrics in the schema shared with the simulator
+/// (simmr::ToJobMetrics), plus how it ended.
+struct JobResult : JobMetrics {
   Status status;
-  double elapsed_seconds = 0;
-  double first_map_done = 0;
-  double last_map_done = 0;
-  Counters counters;
-  std::vector<TaskEvent> events;
-  std::vector<std::string> output_files;
-  std::vector<MemorySample> memory_samples;
-  uint64_t rpc_handler_reregistrations = 0;
-  /// Shuffle codec byte counts + pooled-memory counters (GUIDE §13).
-  DataPlaneStats data_plane;
-  /// Filled when the run had obs.trace=on (see mr/obs_export.h).
-  bool trace_enabled = false;
-  obs::TraceLog trace;
-  std::map<std::string, LogHistogram> histograms;
-  /// Spans lost at the tracer's central-log cap (GUIDE §15).
-  uint64_t spans_dropped = 0;
-  /// Flight-recorder artifacts this run dumped (0 or 1).
-  uint64_t flight_dumps = 0;
 
   bool ok() const { return status.ok(); }
   /// True when the job died of partial-result heap overflow (Fig 5a).
   bool failed_oom() const {
     return status.code() == StatusCode::kResourceExhausted;
   }
-
-  /// The run's metrics in the schema shared with the simulator
-  /// (simmr::ToJobMetrics), for uniform reporting.
-  JobMetrics ToMetrics() const;
 };
 
 class JobRunner {

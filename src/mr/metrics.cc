@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
+#include "faults/fault_plan.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 
@@ -43,17 +45,27 @@ void MetricsRegistry::NoteOutputFile(std::string path) {
 
 void MetricsRegistry::RecordEvent(Phase phase, int task_id, int node,
                                   double start, double end) {
-  timeline_.Record(phase, task_id, node, start, end);
-  // Mirror every task-phase event into the always-armed flight ring
-  // (GUIDE §15) so a post-mortem dump shows recent task history even
-  // for runs with obs.trace off.
-  obs::FlightRecorder::Global()->RecordSpan(PhaseName(phase), "task", task_id,
-                                            node, end - start);
+  {
+    MutexLock lock(mu_);
+    events_.push_back(TaskEvent{phase, task_id, node, start, end});
+  }
+  // The flight copy keeps the event's own start and end, so a dump
+  // orders a fault before the recovery it caused, even for runs with
+  // obs.trace off.
+  std::string name = PhaseName(phase);
+  const char* category = "task";
+  if (phase == Phase::kFault) {
+    name = std::string("fault.") +
+           faults::FaultKindName(static_cast<faults::FaultKind>(task_id));
+    category = "fault";
+  }
+  obs::FlightRecorder::Global()->RecordSpan(
+      std::move(name), category, task_id, node, tracer_.ProcessTime(start),
+      tracer_.ProcessTime(end));
 }
 
 JobMetrics MetricsRegistry::Snapshot() const {
   JobMetrics m;
-  m.events = timeline_.Snapshot();
   m.elapsed_seconds = Now();
   if (tracer_.enabled()) {
     m.trace_enabled = true;
@@ -63,6 +75,7 @@ JobMetrics MetricsRegistry::Snapshot() const {
   }
   MutexLock lock(mu_);
   m.counters = counters_;
+  m.events = events_;
   m.memory_samples = samples_;
   m.output_files = output_files_;
   m.first_map_done = first_map_done_;

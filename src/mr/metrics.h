@@ -1,6 +1,6 @@
 // Job-scoped metrics: one registry that every task of a run reports
 // into (counters, heap samples, map completion times, output files,
-// task timeline) and one snapshot schema (`JobMetrics`) shared by the
+// task events) and one snapshot schema (`JobMetrics`) shared by the
 // real engine, the benches, and the simulator, so real and simulated
 // runs can be printed and compared through the same code path.
 #pragma once
@@ -11,7 +11,6 @@
 
 #include "common/histogram.h"
 #include "common/mutex.h"
-#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 #include "mr/timeline.h"
 #include "mr/types.h"
@@ -72,8 +71,9 @@ struct JobMetrics {
 /// block; `label` distinguishes e.g. "real" from "simulated" runs.
 std::string FormatJobMetrics(const std::string& label, const JobMetrics& m);
 
-/// Thread-safe sink for everything a running job reports.  Owns the
-/// job clock so that every sample and event shares one time base.
+/// Thread-safe sink for everything a running job reports.  The job
+/// clock is the tracer's, so spans, samples and task events share one
+/// time base.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -81,15 +81,10 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Seconds since the job clock (re)started.
-  double Now() const { return clock_.ElapsedSeconds(); }
+  double Now() const { return tracer_.Now(); }
   /// Must happen-before any concurrent reporting (called once by the
-  /// engine before tasks are submitted): the Stopwatch itself is
-  /// unsynchronized.  Also restarts the tracer clock so spans and
-  /// task events share one time base.
-  void RestartClock() {
-    clock_.Restart();
-    tracer_.RestartClock();
-  }
+  /// engine before tasks are submitted): the clock is unsynchronized.
+  void RestartClock() { tracer_.RestartClock(); }
 
   /// Arm the span/latency tracer (the `obs.trace` knob).  Must
   /// happen-before concurrent reporting, like RestartClock.
@@ -106,10 +101,10 @@ class MetricsRegistry {
   void SampleMemory(int reducer, uint64_t bytes) BMR_EXCLUDES(mu_);
   void NoteMapDone() BMR_EXCLUDES(mu_);
   void NoteOutputFile(std::string path) BMR_EXCLUDES(mu_);
-  // BMR_EXCLUDES(mu_) even though the timeline has its own lock:
-  // every reporting method carries the annotation so a future change
-  // that touches guarded state under mu_ cannot silently create a
-  // hold-across-report deadlock path.
+  /// The one path for a coarse event — a task phase, or a fired fault
+  /// (Phase::kFault, task_id = kind, start == end) — on the job clock.
+  /// The always-armed flight ring gets a copy (GUIDE §15), written
+  /// after mu_ is released.
   void RecordEvent(Phase phase, int task_id, int node, double start,
                    double end) BMR_EXCLUDES(mu_);
 
@@ -119,11 +114,10 @@ class MetricsRegistry {
   JobMetrics Snapshot() const BMR_EXCLUDES(mu_);
 
  private:
-  Stopwatch clock_;
-  Timeline timeline_;          // internally synchronized
   mutable obs::Tracer tracer_;  // internally synchronized
   mutable OrderedMutex mu_{"mr.metrics"};
   Counters counters_ BMR_GUARDED_BY(mu_);
+  std::vector<TaskEvent> events_ BMR_GUARDED_BY(mu_);
   std::vector<MemorySample> samples_ BMR_GUARDED_BY(mu_);
   std::vector<std::string> output_files_ BMR_GUARDED_BY(mu_);
   double first_map_done_ BMR_GUARDED_BY(mu_) = 0;

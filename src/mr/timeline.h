@@ -1,11 +1,10 @@
-// Task lifecycle timeline, the data behind Figure 4's task-count plots.
+// Task lifecycle events, the data behind Figure 4's task-count plots,
+// and the views derived from them.  A job records its events through
+// MetricsRegistry::RecordEvent; simmr appends them in virtual time.
 #pragma once
 
 #include <string>
 #include <vector>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace bmr::mr {
 
@@ -23,31 +22,17 @@ const char* PhaseName(Phase phase);
 
 struct TaskEvent {
   Phase phase;
-  int task_id = 0;
+  int task_id = 0;  // the fault kind for kFault
   int node = -1;
   double start = 0;  // seconds since job start
   double end = 0;
 };
 
-/// Thread-safe event sink.
-class Timeline {
- public:
-  void Record(Phase phase, int task_id, int node, double start, double end)
-      BMR_EXCLUDES(mu_);
-  std::vector<TaskEvent> Snapshot() const BMR_EXCLUDES(mu_);
+/// Number of tasks in `phase` active at time t.
+int ActiveAt(const std::vector<TaskEvent>& events, Phase phase, double t);
 
-  /// Number of tasks in `phase` active at time t.
-  static int ActiveAt(const std::vector<TaskEvent>& events, Phase phase,
-                      double t);
-
-  /// Render a per-phase activity table sampled every `step` seconds —
-  /// the textual form of Figure 4.
-  static std::string RenderActivity(const std::vector<TaskEvent>& events,
-                                    double step);
-
- private:
-  mutable Mutex mu_;
-  std::vector<TaskEvent> events_ BMR_GUARDED_BY(mu_);
-};
+/// Render a per-phase activity table sampled every `step` seconds —
+/// the textual form of Figure 4.
+std::string RenderActivity(const std::vector<TaskEvent>& events, double step);
 
 }  // namespace bmr::mr

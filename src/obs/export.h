@@ -23,11 +23,19 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
 };
 
+/// `s` as a quoted JSON string literal, escaped; the one escaper every
+/// JSON writer in the tree uses.
+std::string JsonString(const std::string& s);
+
+/// `v` as a JSON number with three decimals.
+std::string JsonNum(double v);
+
 /// Serialize a TraceLog as Chrome trace-event JSON ("X" complete
 /// events + "M" process/thread metadata + "C" counter tracks), loadable
 /// in Perfetto / chrome://tracing.  Spans are sorted by start time, so
 /// event timestamps are monotonic.  Timestamps are microseconds on the
-/// job clock.
+/// log's clock: the job clock for job traces, the process time base for
+/// the flight ring (pid 3, "bmr-flight").
 std::string PerfettoTraceJson(const TraceLog& log);
 
 /// Serialize a MetricsSnapshot as Prometheus text exposition v0.0.4.

@@ -2,56 +2,15 @@
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <fstream>
+#include <set>
 #include <utility>
+
+#include "obs/export.h"
+#include "obs/trace.h"
 
 namespace bmr::obs {
 namespace {
-
-// Local JSON helpers: the flight ring carries dynamic strings, so it
-// cannot ride the static-lifetime Span/TraceLog pipeline in export.cc;
-// it emits the same Perfetto shape itself.
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  AppendEscaped(&out, s);
-  out += "\"";
-  return out;
-}
-
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 constexpr int kFlightPid = 3;
 
@@ -65,7 +24,10 @@ FlightRecorder* FlightRecorder::Global() {
 FlightRecorder::FlightRecorder(size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1) {}
 
-void FlightRecorder::Append(FlightEvent event) {
+void FlightRecorder::RecordSpan(std::string name, const char* category,
+                                int64_t arg, int node, double start_s,
+                                double end_s) {
+  FlightEvent event{std::move(name), category, arg, node, start_s, end_s};
   MutexLock lock(mu_);
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(event));
@@ -76,32 +38,10 @@ void FlightRecorder::Append(FlightEvent event) {
   ++total_;
 }
 
-void FlightRecorder::RecordSpan(const std::string& name,
-                                const std::string& category, int64_t arg,
-                                int node, double duration_s) {
-  FlightEvent e;
-  e.name = name;
-  e.category = category;
-  e.arg = arg;
-  e.node = node;
-  e.end_s = clock_.ElapsedSeconds();
-  e.start_s = duration_s > 0 && duration_s < e.end_s ? e.end_s - duration_s
-                                                     : e.end_s;
-  Append(std::move(e));
-}
-
-void FlightRecorder::Note(const std::string& name, const std::string& category,
-                          int64_t arg, int node) {
-  RecordSpan(name, category, arg, node, 0);
-}
-
-void FlightRecorder::RecordCounter(const std::string& name, double value) {
-  FlightEvent e;
-  e.kind = FlightEvent::Kind::kCounter;
-  e.name = name;
-  e.value = value;
-  e.start_s = e.end_s = clock_.ElapsedSeconds();
-  Append(std::move(e));
+void FlightRecorder::Note(std::string name, const char* category, int64_t arg,
+                          int node) {
+  const double now = ProcessNow();
+  RecordSpan(std::move(name), category, arg, node, now, now);
 }
 
 void FlightRecorder::RequestDump(const std::string& reason, int64_t arg) {
@@ -145,50 +85,26 @@ std::string FlightRecorder::SnapshotJson(size_t last_n) const {
     MutexLock lock(mu_);
     events = Chronological(last_n);
   }
-  // The Perfetto validator requires X-event timestamps non-decreasing
-  // in document order; RecordSpan backdates starts, so sort.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FlightEvent& a, const FlightEvent& b) {
-                     return a.start_s < b.start_s;
-                   });
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out += ",\n";
-    first = false;
-  };
-  comma();
-  out += "{\"ph\":\"M\",\"pid\":" + std::to_string(kFlightPid) +
-         ",\"name\":\"process_name\",\"args\":{\"name\":\"bmr-flight\"}}";
-  comma();
-  out += "{\"ph\":\"M\",\"pid\":" + std::to_string(kFlightPid) +
-         ",\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":"
-         "\"flight-ring\"}}";
-  int span_seq = 0;
+  // Span::name borrows from `events`, which outlives the rendering.
+  TraceLog log;
+  std::set<int> nodes;
   for (const FlightEvent& e : events) {
-    comma();
-    if (e.kind == FlightEvent::Kind::kCounter) {
-      out += "{\"ph\":\"C\",\"pid\":" + std::to_string(kFlightPid) +
-             ",\"tid\":0,\"ts\":" + Num(e.start_s * 1e6) +
-             ",\"name\":" + JsonString(e.name) +
-             ",\"args\":{\"value\":" + Num(e.value) + "}}";
-      continue;
-    }
-    double dur = (e.end_s - e.start_s) * 1e6;
-    if (dur < 0) dur = 0;
-    out += "{\"ph\":\"X\",\"pid\":" + std::to_string(kFlightPid) +
-           ",\"tid\":0,\"ts\":" + Num(e.start_s * 1e6) +
-           ",\"dur\":" + Num(dur) + ",\"name\":" + JsonString(e.name) +
-           ",\"cat\":" + JsonString(e.category) +
-           ",\"args\":{\"span\":" + std::to_string(++span_seq) +
-           ",\"parent\":0";
-    if (e.arg >= 0) out += ",\"id\":" + std::to_string(e.arg);
-    if (e.node >= 0) out += ",\"node\":" + std::to_string(e.node);
-    out += "}}";
+    Span span;
+    span.id = static_cast<SpanId>(log.spans.size() + 1);
+    span.name = e.name.c_str();
+    span.category = e.category;
+    span.pid = kFlightPid;
+    span.tid = e.node >= 0 ? e.node : 0;
+    span.arg = e.arg;
+    span.start_s = e.start_s;
+    span.end_s = e.end_s;
+    log.spans.push_back(span);
+    if (e.node >= 0) nodes.insert(e.node);
   }
-  out += "]}";
-  return out;
+  for (int node : nodes) {
+    log.tracks.push_back({kFlightPid, node, "node-" + std::to_string(node)});
+  }
+  return PerfettoTraceJson(log);
 }
 
 StatusOr<std::string> FlightRecorder::DumpToDir(const std::string& dir) {
@@ -217,14 +133,6 @@ uint64_t FlightRecorder::overwritten() const {
 size_t FlightRecorder::size() const {
   MutexLock lock(mu_);
   return ring_.size();
-}
-
-void FlightRecorder::ResetForTest() {
-  MutexLock lock(mu_);
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-  dump_reasons_.clear();
 }
 
 }  // namespace bmr::obs

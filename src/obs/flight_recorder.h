@@ -1,10 +1,10 @@
 // Crash flight recorder (GUIDE §15): a process-global, always-armed,
 // bounded ring of coarse events — task phase transitions, faults,
-// recovery actions, counter samples — recorded even when `obs.trace`
-// is off.  Like an aircraft FDR it never stops writing: the ring keeps
-// the most recent history and a dump is a snapshot of it, so a job
-// failure, tainted-reducer restart, or injected crash leaves a
-// post-mortem Perfetto JSON artifact instead of just an exit code.
+// recovery actions — recorded even when `obs.trace` is off.  Like an
+// aircraft FDR it never stops writing: the ring keeps the most recent
+// history and a dump is a snapshot of it, so a job failure,
+// tainted-reducer restart, or injected crash leaves a post-mortem
+// Perfetto JSON artifact instead of just an exit code.
 //
 // Cost discipline: events are coarse (per task phase, per fault — not
 // per record), so one mutex-guarded ring write per event is far off
@@ -17,25 +17,21 @@
 
 #include "common/mutex.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 
 namespace bmr::obs {
 
-/// One ring entry: a closed interval (spans; notes have zero duration)
-/// or a counter sample, on the recorder's own process-lifetime clock.
-/// Names are dynamic strings — triggers carry failure details — which
-/// is fine at flight-event rates.
+/// One ring entry: a closed interval (notes have zero duration) on the
+/// process time base (obs::ProcessNow).  Names are dynamic strings —
+/// triggers carry failure details — which is fine at flight-event
+/// rates.
 struct FlightEvent {
-  enum class Kind : uint8_t { kSpan, kCounter };
-  Kind kind = Kind::kSpan;
   std::string name;
-  std::string category;
+  const char* category = "";
   int64_t arg = -1;   // task / node / fault id; -1 = none
   int node = -1;      // logical node; -1 = none
   double start_s = 0;
   double end_s = 0;
-  double value = 0;   // counters only
 };
 
 /// Category every RequestDump trigger event is recorded under; the
@@ -52,17 +48,14 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Record a closed interval that ended now and lasted `duration_s`.
-  void RecordSpan(const std::string& name, const std::string& category,
-                  int64_t arg, int node, double duration_s)
+  /// Record the closed interval [start_s, end_s] on the process time
+  /// base — a job-clock event maps there through Tracer::ProcessTime.
+  void RecordSpan(std::string name, const char* category, int64_t arg,
+                  int node, double start_s, double end_s) BMR_EXCLUDES(mu_);
+
+  /// Record an instantaneous event now.
+  void Note(std::string name, const char* category, int64_t arg, int node)
       BMR_EXCLUDES(mu_);
-
-  /// Record an instantaneous event.
-  void Note(const std::string& name, const std::string& category, int64_t arg,
-            int node) BMR_EXCLUDES(mu_);
-
-  /// Record a counter sample at the current time.
-  void RecordCounter(const std::string& name, double value) BMR_EXCLUDES(mu_);
 
   /// Mark the ring for a post-mortem dump (sticky until taken) and
   /// record a kFlightTriggerCategory event naming the reason.  `arg`
@@ -75,9 +68,10 @@ class FlightRecorder {
   /// the owner of the job boundary decides whether and where to dump.
   std::vector<std::string> TakeDumpReasons() BMR_EXCLUDES(mu_);
 
-  /// The retained history (most recent `last_n` events; 0 = all) as
-  /// Perfetto JSON on pid 3 ("bmr-flight"), parent-free spans sorted
-  /// by start time — passes obs::ValidatePerfettoJson.
+  /// The retained history (most recent `last_n` events; 0 = all),
+  /// rendered by obs::PerfettoTraceJson on pid 3 ("bmr-flight"), one
+  /// lane per node ("node-<n>"; events without a node on lane 0), as
+  /// parent-free spans — passes obs::ValidatePerfettoJson.
   std::string SnapshotJson(size_t last_n) const BMR_EXCLUDES(mu_);
 
   /// Write SnapshotJson(0) to `dir`/flight_<pid>_<seq>.json and return
@@ -90,17 +84,12 @@ class FlightRecorder {
   uint64_t overwritten() const BMR_EXCLUDES(mu_);
   size_t size() const BMR_EXCLUDES(mu_);
 
-  /// Drop all state (events, triggers, counters) — test isolation only.
-  void ResetForTest() BMR_EXCLUDES(mu_);
-
  private:
-  void Append(FlightEvent event) BMR_EXCLUDES(mu_);
   /// Events in record order, oldest first.
   std::vector<FlightEvent> Chronological(size_t last_n) const
       BMR_REQUIRES(mu_);
 
   const size_t capacity_;
-  Stopwatch clock_;  // process-lifetime time base, never restarted
 
   mutable Mutex mu_;
   std::vector<FlightEvent> ring_ BMR_GUARDED_BY(mu_);

@@ -64,9 +64,9 @@ struct CounterSample {
 };
 
 /// Everything one run traced.  Exporters consume this; the engine
-/// fills it from the tracer (fine-grained spans) and the timeline
-/// (task-phase lanes), and simmr fills it from simulated TaskEvents —
-/// both render through the same pipeline.
+/// fills it from the tracer (fine-grained spans) and its task events
+/// (task-phase lanes), simmr from simulated TaskEvents, and the flight
+/// recorder from its ring — all render through the same pipeline.
 struct TraceLog {
   std::vector<Span> spans;
   std::vector<TrackInfo> tracks;

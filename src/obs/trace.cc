@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <chrono>
 #include <string_view>
 #include <utility>
 
@@ -21,14 +22,38 @@ thread_local TlsCache t_buffer_cache;
 // Innermost open ScopedSpan on this thread (implicit parent chain).
 thread_local SpanId t_current_span = 0;
 
+std::chrono::steady_clock::time_point ProcessEpoch() {
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  return epoch;
+}
+
 }  // namespace
+
+double ProcessNow() {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       ProcessEpoch())
+      .count();
+}
 
 Tracer::Tracer()
     : generation_(g_tracer_generation.fetch_add(1,
                                                 std::memory_order_relaxed) +
-                  1) {}
+                  1) {
+  RestartClock();
+}
 
 Tracer::~Tracer() = default;
+
+void Tracer::RestartClock() {
+  ProcessEpoch();  // fix the epoch first: no job origin may precede it
+  origin_ = Clock::now();
+}
+
+double Tracer::ProcessTime(double job_s) const {
+  return std::chrono::duration<double>(origin_ - ProcessEpoch()).count() +
+         job_s;
+}
 
 void Tracer::Enable(const TracerOptions& options) {
   buffer_spans_ = options.buffer_spans > 0 ? options.buffer_spans : 1;

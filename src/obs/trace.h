@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -40,6 +41,11 @@ struct TracerOptions {
   size_t max_spans = 1 << 20;
 };
 
+/// Seconds on the process time base: steady_clock since the process
+/// first read it.  The flight ring stamps events on it, and every job
+/// clock is an offset on it (Tracer::ProcessTime).
+double ProcessNow();
+
 class Tracer {
  public:
   Tracer();
@@ -54,11 +60,16 @@ class Tracer {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// The tracer's time base; the owner restarts it together with the
-  /// job clock so spans and TaskEvents share one origin.  Unsynchronized
-  /// like Stopwatch: restart happens-before concurrent recording.
-  void RestartClock() { clock_.Restart(); }
-  double Now() const { return clock_.ElapsedSeconds(); }
+  /// The job clock: seconds since construction or the last restart.
+  /// Spans, task events, samples and fault stamps all read it.
+  /// Unsynchronized like Stopwatch: restart happens-before concurrent
+  /// recording.
+  void RestartClock();
+  double Now() const {
+    return std::chrono::duration<double>(Clock::now() - origin_).count();
+  }
+  /// A job-clock time on the process time base (ProcessNow).
+  double ProcessTime(double job_s) const;
 
   /// Next tracer-unique span id (never 0).
   SpanId NextSpanId() {
@@ -128,8 +139,10 @@ class Tracer {
   /// Tracer address can never alias a stale buffer.
   ThreadBuffer* LocalBuffer() BMR_EXCLUDES(registry_mu_);
 
+  using Clock = std::chrono::steady_clock;
+
   const uint64_t generation_;
-  Stopwatch clock_;
+  Clock::time_point origin_;  // job clock zero
   /// Append spans to the central log, dropping (and counting) past the
   /// max_spans_ cap.  Consumes the input.
   void FlushToCentral(std::vector<Span>* spans) BMR_EXCLUDES(central_mu_);

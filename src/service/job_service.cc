@@ -1,6 +1,5 @@
 #include "service/job_service.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -16,29 +15,6 @@ namespace {
 /// strips the label block for the family TYPE line (obs/export.cc).
 std::string PoolSeries(const char* family, const std::string& pool) {
   return std::string(family) + "{pool=\"" + pool + "\"}";
-}
-
-/// Minimal JSON string escape for pool names in the /jobs snapshot.
-std::string JsonQuoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-std::string JsonNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
 }
 
 /// Parse `last=N` out of a /trace query string; 0 = everything.
@@ -280,9 +256,9 @@ std::string JobService::JobsJson() const {
     if (!first) out += ",";
     first = false;
     const PoolStats& s = stats[p.config.name];
-    out += "{\"name\":" + JsonQuoted(p.config.name) +
-           ",\"parent\":" + JsonQuoted(p.config.parent) +
-           ",\"weight\":" + JsonNum(p.config.weight) +
+    out += "{\"name\":" + obs::JsonString(p.config.name) +
+           ",\"parent\":" + obs::JsonString(p.config.parent) +
+           ",\"weight\":" + obs::JsonNum(p.config.weight) +
            ",\"min_share_slots\":" + std::to_string(p.config.min_share_slots) +
            ",\"max_share_slots\":" + std::to_string(p.config.max_share_slots) +
            ",\"queue_limit\":" + std::to_string(p.config.queue_limit) +

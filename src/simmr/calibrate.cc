@@ -95,13 +95,11 @@ std::vector<std::vector<mr::Record>> MakeSortedRuns(
 
 MicroCosts MeasureWith(std::string name, uint64_t records, uint64_t distinct,
                        int runs, uint64_t seed, bool zipf_keys,
-                       double fold_cost_scale,
                        core::StoreType store_type) {
   MicroCosts costs;
   costs.workload = std::move(name);
   costs.records = records;
   costs.distinct_keys = distinct;
-  (void)fold_cost_scale;
 
   auto sorted_runs = MakeSortedRuns(records, distinct, runs, seed, zipf_keys);
 
@@ -154,13 +152,13 @@ MicroCosts MeasureAggregationCosts(uint64_t records, uint64_t distinct,
                                    int runs, uint64_t seed,
                                    core::StoreType store_type) {
   return MeasureWith("aggregation", records, distinct, runs, seed,
-                     /*zipf_keys=*/true, 1.0, store_type);
+                     /*zipf_keys=*/true, store_type);
 }
 
 MicroCosts MeasureSortCosts(uint64_t records, int runs, uint64_t seed) {
   // Unique-ish key space: the tree grows to O(records).
   return MeasureWith("sort", records, records, runs, seed,
-                     /*zipf_keys=*/false, 1.0, core::StoreType::kInMemory);
+                     /*zipf_keys=*/false, core::StoreType::kInMemory);
 }
 
 }  // namespace bmr::simmr

@@ -185,9 +185,12 @@ TEST(EngineTest, SortProducesGloballyOrderedOutput) {
 }
 
 TEST(EngineTest, TimelineShowsBarrierGapAndPipelinedOverlap) {
-  auto cluster = MakeTestCluster(4, /*block_bytes=*/32 << 10);
+  auto cluster =
+      MakeTestCluster(4, /*block_bytes=*/32 << 10, /*map_slots=*/1);
   workload::TextGenOptions gen;
-  gen.total_bytes = 256 << 10;  // 8 blocks over 8 map slots
+  // 32 blocks over 4 map slots: eight waves of maps, so the map phase
+  // outlasts the barrier-less reducers' start-up by a wide margin.
+  gen.total_bytes = 1 << 20;
   gen.vocabulary = 2000;
   auto files = workload::GenerateZipfText(cluster.get(), "/in", gen);
   ASSERT_TRUE(files.ok());

@@ -406,10 +406,11 @@ TEST(Exporters, PrometheusValidatorEnforcesNamingAndCoherence) {
 
 TEST(FlightRecorder, RecordsAndSnapshotsValidPerfettoJson) {
   obs::FlightRecorder recorder(64);
-  recorder.RecordSpan("task.map", "task", /*arg=*/3, /*node=*/1, 0.002);
+  const double now = obs::ProcessNow();
+  recorder.RecordSpan("task.map", "task", /*arg=*/3, /*node=*/1, now,
+                      now + 0.002);
   recorder.Note("map.relaunch", "recovery", 3, 2);
-  recorder.RecordCounter("inflight", 5);
-  EXPECT_EQ(recorder.size(), 3u);
+  EXPECT_EQ(recorder.size(), 2u);
   EXPECT_EQ(recorder.overwritten(), 0u);
 
   const std::string json = recorder.SnapshotJson(0);
@@ -417,7 +418,10 @@ TEST(FlightRecorder, RecordsAndSnapshotsValidPerfettoJson) {
   EXPECT_TRUE(st.ok()) << st << "\n" << json;
   EXPECT_NE(json.find("task.map"), std::string::npos);
   EXPECT_NE(json.find("map.relaunch"), std::string::npos);
-  EXPECT_NE(json.find("inflight"), std::string::npos);
+  // Rendered by the one exporter: pid 3, one lane per node.
+  EXPECT_NE(json.find("\"bmr-flight\""), std::string::npos);
+  EXPECT_NE(json.find("\"node-1\""), std::string::npos);
+  EXPECT_NE(json.find("\"node-2\""), std::string::npos);
 }
 
 TEST(FlightRecorder, RingBoundOverwritesOldestAndCounts) {
@@ -460,7 +464,8 @@ TEST(FlightRecorder, DumpToDirWritesValidatableArtifact) {
   char tmpl[] = "/tmp/bmr_flight_test_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   obs::FlightRecorder recorder(16);
-  recorder.RecordSpan("task.reduce", "task", 2, 1, 0.001);
+  const double now = obs::ProcessNow();
+  recorder.RecordSpan("task.reduce", "task", 2, 1, now, now + 0.001);
   recorder.RequestDump("reduce.restart task=2: tainted", 2);
   StatusOr<std::string> path = recorder.DumpToDir(tmpl);
   ASSERT_TRUE(path.ok()) << path.status();
@@ -624,7 +629,7 @@ TEST(EngineTracing, TracedRunProducesNestedSpansAndHistograms) {
   }
 
   // The full artifact path (serialize -> self-validate -> write).
-  mr::JobMetrics metrics = result.ToMetrics();
+  const mr::JobMetrics& metrics = result;
   std::string dir = ::testing::TempDir();
   Status st = mr::WriteTraceArtifacts(metrics, dir + "/obs_trace.json",
                                       dir + "/obs_metrics.prom");
@@ -652,7 +657,7 @@ TEST(EngineTracing, HandlerSpansStitchUnderPropagatedParents) {
   EXPECT_GT(handlers, 0u);
 
   // The stitched tree passes the strict (orphan-rejecting) validator.
-  mr::JobMetrics metrics = result.ToMetrics();
+  const mr::JobMetrics& metrics = result;
   const std::string json =
       obs::PerfettoTraceJson(mr::BuildTraceLog(metrics));
   Status st = obs::ValidatePerfettoJson(json, /*min_spans=*/10,
@@ -720,6 +725,89 @@ TEST(EngineTracing, NodeCrashLeavesValidatedFlightArtifact) {
   rmdir(tmpl);
 }
 
+/// Occurrences of `needle` in `text`.
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Post-mortem order: a fault reaches the flight ring once, stamped at
+// its fire time, so the dump shows it before the reduce.restart trigger
+// it caused — not twice, stamped at the job-end drain.
+TEST(EngineTracing, FlightDumpOrdersFaultBeforeTheRestartItCaused) {
+  char tmpl[] = "/tmp/bmr_flight_order_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+
+  auto cluster = MakeTestCluster(/*slaves=*/3, /*block_bytes=*/8 << 10);
+  workload::TextGenOptions gen;
+  gen.total_bytes = 48 << 10;
+  gen.vocabulary = 2000;
+  gen.seed = 77;
+  auto files = workload::GenerateZipfText(cluster.get(), "/order-in", gen);
+  ASSERT_TRUE(files.ok()) << files.status();
+
+  faults::FaultEvent spill_error;
+  spill_error.kind = faults::FaultKind::kSpillWriteError;
+  spill_error.count = 1;
+  faults::FaultPlan plan;
+  plan.events = {spill_error};
+  faults::FaultInjector injector(plan);
+  cluster->InstallFaultInjector(&injector);
+
+  apps::AppOptions options;
+  options.input_files = *files;
+  options.output_path = "/order-out";
+  options.num_reducers = 2;
+  options.barrierless = true;
+  options.store.type = core::StoreType::kSpillMerge;
+  options.store.spill_threshold_bytes = 4 << 10;
+  options.extra.Set("obs.flight_dir", tmpl);
+  mr::JobRunner runner(cluster.get());
+  mr::JobResult result =
+      runner.Run(apps::FindApp("wordcount")->make_job(options));
+  cluster->InstallFaultInjector(nullptr);
+  ASSERT_TRUE(result.ok()) << result.status;  // the restart recovers
+  ASSERT_EQ(injector.injected(faults::FaultKind::kSpillWriteError), 1u);
+  ASSERT_EQ(result.flight_dumps, 1u);
+
+  std::string json;
+  DIR* d = opendir(tmpl);
+  ASSERT_NE(d, nullptr);
+  while (dirent* entry = readdir(d)) {
+    std::string name = entry->d_name;
+    if (name.find("flight_") != 0) continue;
+    std::ifstream in(std::string(tmpl) + "/" + name);
+    json.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    std::remove((std::string(tmpl) + "/" + name).c_str());
+  }
+  closedir(d);
+  rmdir(tmpl);
+  ASSERT_TRUE(obs::ValidatePerfettoJson(json, /*min_spans=*/1).ok());
+
+  // PerfettoTraceJson sorts events by start time, so text order is time
+  // order.  The ring is process-wide: look only after this job's
+  // job.start, the last one in the document.
+  const size_t job_start = json.rfind("\"name\":\"job.start\"");
+  ASSERT_NE(job_start, std::string::npos);
+  const std::string run = json.substr(job_start);
+  EXPECT_EQ(CountOf(run, "\"name\":\"fault.") +
+                CountOf(run, "\"name\":\"Fault\""),
+            1u)
+      << "one flight event per fault\n" << run;
+  const size_t fault = run.find(
+      "\"name\":\"fault.spill_write_error\",\"cat\":\"fault\"");
+  const size_t restart = run.find("\"name\":\"reduce.restart");
+  ASSERT_NE(fault, std::string::npos) << run;
+  ASSERT_NE(restart, std::string::npos) << run;
+  EXPECT_LT(fault, restart)
+      << "the fault must precede the restart it caused\n" << run;
+}
+
 TEST(EngineTracing, UntracedRunCarriesNoTraceState) {
   auto cluster = MakeTestCluster(/*slaves=*/3, /*block_bytes=*/8 << 10);
   mr::JobResult result = RunWordCount(cluster.get(), /*traced=*/false, "/out");
@@ -761,7 +849,7 @@ TEST(EngineTracing, InjectedFaultsAppearInPrometheusExposition) {
   ASSERT_TRUE(result.ok()) << result.status;  // fetch retries recover
   ASSERT_EQ(injector.injected(faults::FaultKind::kFetchTimeout), 2u);
 
-  mr::JobMetrics metrics = result.ToMetrics();
+  const mr::JobMetrics& metrics = result;
   EXPECT_EQ(metrics.counters.Get("fault_injected_fetch_timeout"), 2u);
   const std::string text =
       obs::PrometheusText(mr::BuildMetricsSnapshot(metrics));
@@ -811,7 +899,7 @@ TEST(GoldenText, RenderActivityIsStable) {
   events.push_back({mr::Phase::kMap, 0, 1, 0.0, 0.2});
   events.push_back({mr::Phase::kReduce, 1, 2, 0.1, 0.3});
 
-  EXPECT_EQ(mr::Timeline::RenderActivity(events, /*step=*/0.1),
+  EXPECT_EQ(mr::RenderActivity(events, /*step=*/0.1),
             "time\tMap\tReduce\n"
             "0.0\t1\t0\n"
             "0.1\t1\t1\n"

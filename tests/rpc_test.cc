@@ -230,10 +230,18 @@ TEST_P(TransportTest, KillNodeRacingCallCompletesOrNotFound) {
       }
     });
   }
-  // Let calls get in flight, then yank the node out from under them.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Yank the node out from under calls in flight once one has completed,
+  // and stop once one has seen it dead.  Waiting on the counters rather
+  // than a fixed sleep keeps both outcomes on a loaded host, where a TCP
+  // call can take longer than any fixed window.
+  auto wait_for_first = [](const std::atomic<int>& count) {
+    for (int i = 0; i < 5000 && count.load() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  wait_for_first(completed);
   transport->KillNode(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  wait_for_first(not_found);
   stop.store(true);
   for (auto& t : callers) t.join();
   EXPECT_GT(completed.load(), 0);

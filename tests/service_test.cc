@@ -593,5 +593,21 @@ TEST(JobServiceTest, PrometheusExportCarriesPerPoolSeries) {
       << text;
 }
 
+// /jobs renders pool names through the shared JSON escaper: quotes,
+// backslashes and control characters cannot break the document.
+TEST(JobServiceTest, JobsJsonEscapesPoolNames) {
+  ServiceFixture fx;
+  JobService svc(fx.cluster.get());
+  const std::string parent = "team \"a\\b\"";
+  ASSERT_TRUE(svc.AddPool(MakePool(parent, 1.0)).ok());
+  ASSERT_TRUE(svc.AddPool(MakePool("tab\there\x01", 1.0, parent)).ok());
+
+  const std::string json = svc.JobsJson();
+  Status valid = obs::ValidateJsonText(json);
+  EXPECT_TRUE(valid.ok()) << valid << "\n" << json;
+  EXPECT_NE(json.find("\"team \\\"a\\\\b\\\"\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\\u0001"), std::string::npos) << json;
+}
+
 }  // namespace
 }  // namespace bmr

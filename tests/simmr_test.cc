@@ -3,6 +3,9 @@
 // crossovers fall) that EXPERIMENTS.md relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "simmr/calibrate.h"
 #include "simmr/hadoop_sim.h"
@@ -49,7 +52,7 @@ TEST(SimMechanicsTest, MapWavesMatchSlotCapacity) {
   int max_active = 0;
   for (const auto& e : result.events) {
     if (e.phase != mr::Phase::kMap) continue;
-    int active = mr::Timeline::ActiveAt(result.events, mr::Phase::kMap,
+    int active = mr::ActiveAt(result.events, mr::Phase::kMap,
                                         (e.start + e.end) / 2);
     max_active = std::max(max_active, active);
   }
@@ -273,24 +276,44 @@ TEST(SimMechanicsTest, CombinerShrinksShuffleAndCompletion) {
   EXPECT_LT(combined.completion_seconds, plain.completion_seconds);
 }
 
+/// Fold cost over barrier-path cost (merge + grouped reduce) of one
+/// measurement.  The two halves run moments apart, so host load common
+/// to both cancels.
+double FoldToBarrierRatio(const MicroCosts& c) {
+  return c.incremental_secs_per_record /
+         (c.merge_secs_per_record + c.grouped_reduce_secs_per_record);
+}
+
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+// Timing on a shared host: each calibration test takes the median over
+// repeats, which drops the repeats a burst of load hit unevenly.
+constexpr int kCalibrationRepeats = 5;
+
 TEST(CalibrationTest, SortFoldSlowerThanMergePerRecord) {
   // The Fig. 6(a) mechanism, measured on the real engine.
-  MicroCosts sort = MeasureSortCosts(50000, 8, 3);
-  EXPECT_GT(sort.incremental_secs_per_record,
-            sort.merge_secs_per_record + sort.grouped_reduce_secs_per_record);
-  EXPECT_GT(sort.merge_secs_per_record, 0);
+  std::vector<double> sort;
+  for (int i = 0; i < kCalibrationRepeats; ++i) {
+    MicroCosts costs = MeasureSortCosts(50000, 8, 3);
+    EXPECT_GT(costs.merge_secs_per_record, 0);
+    sort.push_back(FoldToBarrierRatio(costs));
+  }
+  EXPECT_GT(Median(sort), 1.0);
 }
 
 TEST(CalibrationTest, AggregationRatioBelowSortRatio) {
-  MicroCosts agg = MeasureAggregationCosts(50000, 2000, 8, 3);
-  MicroCosts sort = MeasureSortCosts(50000, 8, 3);
-  double agg_ratio =
-      agg.incremental_secs_per_record /
-      (agg.merge_secs_per_record + agg.grouped_reduce_secs_per_record);
-  double sort_ratio =
-      sort.incremental_secs_per_record /
-      (sort.merge_secs_per_record + sort.grouped_reduce_secs_per_record);
-  EXPECT_LT(agg_ratio, sort_ratio);
+  // Interleaved, so a burst of host load hits both workloads.
+  std::vector<double> agg;
+  std::vector<double> sort;
+  for (int i = 0; i < kCalibrationRepeats; ++i) {
+    agg.push_back(
+        FoldToBarrierRatio(MeasureAggregationCosts(50000, 2000, 8, 3)));
+    sort.push_back(FoldToBarrierRatio(MeasureSortCosts(50000, 8, 3)));
+  }
+  EXPECT_LT(Median(agg), Median(sort));
 }
 
 }  // namespace

@@ -171,7 +171,7 @@ StatusOr<mr::JobMetrics> RunTracedApp(const CliOptions& cli) {
   mr::JobRunner runner(cluster.get());
   mr::JobResult result = runner.Run(app->make_job(options));
   BMR_RETURN_IF_ERROR(result.status);
-  return result.ToMetrics();
+  return result;
 }
 
 mr::JobMetrics RunSim(const CliOptions& cli) {
@@ -262,8 +262,7 @@ int EmitArtifacts(const mr::JobMetrics& metrics, const CliOptions& cli,
               cli.trace_out.c_str(), label, cli.prom_out.c_str());
   if (cli.report) {
     std::fputs(mr::FormatJobMetrics(label, metrics).c_str(), stdout);
-    std::fputs(mr::Timeline::RenderActivity(metrics.events, /*step=*/0.01)
-                   .c_str(),
+    std::fputs(mr::RenderActivity(metrics.events, /*step=*/0.01).c_str(),
                stdout);
     if (metrics.trace_enabled) {
       std::printf("[%s] spans dropped at central cap: %llu\n", label,
