@@ -10,21 +10,18 @@
 #                      bmr::MutexLock / bmr::CondVar / ThreadPool.
 #   3. determinism     src/sim/ and src/simmr/ are simulation layers:
 #                      no wall clocks, no rand(), no sleeps.
-#   5. fault-injection encapsulation: faults/internal.h (the injector's
-#                      event-matching machinery) is private to
-#                      src/faults/ — hook sites everywhere else go
-#                      through faults/fault_injector.h only.
 #   6. batched-fifo     no per-record fifo_.Push() in src/mr/ — shuffle
 #                      sinks move RecordBatches via PushAll (one lock
 #                      cycle and one wakeup per batch, see
 #                      mr/record_batch.h).
 #
-# Former checks 2 (nodiscard), 4 (include layering) and 7 (metric
-# names) moved to the static analyzer, tools/bmr_check (`check.sh
-# analyze`), which checks them token-exactly and transitively — the
-# grep/awk versions missed multi-line declarations and could not see
-# include cycles or dead metric constants.  Keep them out of this file:
-# two enforcers of one rule drift and double-report.
+# Former checks 2 (nodiscard), 4 (include layering), 5 (faults/internal.h
+# private to src/faults/), 7 (metric names) and 8 (only net/transport.h
+# leaves src/net/) moved to the static analyzer, tools/bmr_check
+# (`check.sh analyze`), which checks them token-exactly and
+# transitively — the grep/awk versions missed multi-line declarations
+# and could not see include cycles or dead metric constants.  Keep them
+# out of this file: two enforcers of one rule drift and double-report.
 #
 # Tests, benches and examples are exempt: the gate polices the library
 # layers, not the harnesses around them.
@@ -60,19 +57,6 @@ if [ -n "${hits}" ]; then
 fi
 
 # ---------------------------------------------------------------------
-# 5. Fault-injection encapsulation: the injector's event-matching
-#    internals (faults/internal.h, bmr::faults::internal) stay inside
-#    src/faults/; every hook site elsewhere uses the public
-#    FaultInjector surface, so injection can evolve without touching
-#    the engine.
-hits=$(grep -rnE 'faults/internal\.h|faults::internal' src/ \
-  --include='*.h' --include='*.cc' | grep -v '^src/faults/' || true)
-if [ -n "${hits}" ]; then
-  echo "${hits}" >&2
-  fail "faults/internal.h is private to src/faults/ — include faults/fault_injector.h instead"
-fi
-
-# ---------------------------------------------------------------------
 # 6. Batched FIFO: the shuffle data plane moves record batches.  A raw
 #    per-record fifo_.Push() in a src/mr/ sink reintroduces one
 #    lock/wakeup cycle per record — the exact overhead the batched
@@ -81,21 +65,6 @@ hits=$(grep -rnE 'fifo_\.Push\(' src/mr/ --include='*.h' --include='*.cc' || tru
 if [ -n "${hits}" ]; then
   echo "${hits}" >&2
   fail "per-record fifo_.Push() in src/mr/ — sinks must batch via PushAll (mr/record_batch.h)"
-fi
-
-# ---------------------------------------------------------------------
-# 8. Transport encapsulation: everything above src/net/ programs against
-#    the net::Transport interface (net/transport.h).  Including a
-#    concrete implementation header (tcp_transport.h,
-#    inproc_transport.h, or the wire internals) from src/mr, src/core,
-#    src/dfs or any other layer would let engine code observe which
-#    transport it runs on — the exact coupling the interface removes.
-hits=$(grep -rnE '#include "net/[a-z_.]+"' src/ \
-  --include='*.h' --include='*.cc' \
-  | grep -v '^src/net/' | grep -v '"net/transport\.h"' || true)
-if [ -n "${hits}" ]; then
-  echo "${hits}" >&2
-  fail "concrete transport header included outside src/net/ — code above the wire uses net/transport.h only"
 fi
 
 # ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // FaultInjector internals: per-event trigger state and hook matching.
-// Private to src/faults/ — the repo lint gate (scripts/lint.sh check 5)
-// rejects any include or reference from outside this directory, so
-// production code can only reach the injector through the public hook
-// points in fault_injector.h.
+// Private to src/faults/ — bmr_check's layering check rejects any
+// include of it from outside this directory, so production code can
+// only reach the injector through the public hook points in
+// fault_injector.h.
 #pragma once
 
 #include <string>

@@ -19,8 +19,7 @@ class ReduceEmitter {
   virtual void Emit(Slice key, Slice value) = 0;
 };
 
-/// A ReduceEmitter that appends to an in-memory vector; used by tests
-/// and by the drivers before the DFS writer stage.
+/// A ReduceEmitter that appends to an in-memory vector; used by tests.
 template <typename RecordVector>
 class VectorEmitter final : public ReduceEmitter {
  public:

@@ -305,9 +305,8 @@ JobResult JobExecution::Run() {
     cluster_->transport->SetObserver(nullptr);
   }
 
-  // Every reducer has drained and every map completed: flush any encode
-  // still in flight so the codec byte counts below are complete.
-  shuffle_->DrainPublishes();
+  // Every map attempt has returned, so every Publish has too: the
+  // codec byte counts below are complete.
   const SegmentEncodeStats encode_stats = shuffle_->encode_stats();
 
   // The result is the metrics snapshot; the fields only the engine

@@ -70,6 +70,9 @@ struct JobSpec {
   double speculation_min_runtime = 0.05;
 
   // -- Execution mode (the paper's setIncrementalReduction(true)) -------
+  /// Barrier mode sorts map output at the mapper and merges at the
+  /// reducer (Hadoop).  Barrier-less mode skips the map-side sort unless
+  /// a combiner needs sorted runs — design decision (1) in §3.1.
   bool barrierless = false;
   /// Optional memoization session (§8 / DryadInc-style): barrier-less
   /// reduce tasks seed their partial-result stores from the previous
@@ -77,11 +80,6 @@ struct JobSpec {
   /// at the end.  Caller must keep num_reducers, partitioner, and key
   /// order stable across runs.  Not owned.
   core::JobSession* session = nullptr;
-  /// Barrier mode sorts map output at the mapper and merges at the
-  /// reducer (Hadoop).  Barrier-less mode bypasses the sort entirely —
-  /// design decision (1) in §3.1.  Kept as an explicit knob for the
-  /// ablation bench.
-  bool map_side_sort = true;
   core::StoreConfig store;
 
   Config config;

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
-#include "mr/segment_codec.h"
+#include "common/arena.h"
 
 namespace bmr::mr {
 
@@ -24,13 +25,6 @@ ShuffleService::ShuffleService(net::Transport* transport, int num_nodes,
     auto codec = FindCodec(env == nullptr ? "" : env);
     options_.codec = codec.ok() ? *codec : *FindCodec("none");
   }
-  EncodingPipeline::Options enc_options;
-  enc_options.codec = options_.codec;
-  enc_options.block_bytes = options_.block_bytes;
-  enc_options.window_bytes = options_.encoder_window_bytes;
-  enc_options.threads = options_.encoder_threads;
-  enc_options.tracer = options_.tracer;
-  encoder_ = std::make_unique<EncodingPipeline>(enc_options);
   stores_.resize(num_nodes);
   for (int n = 0; n < num_nodes; ++n) {
     stores_[n] = std::make_unique<MapOutputStore>();
@@ -40,25 +34,49 @@ ShuffleService::ShuffleService(net::Transport* transport, int num_nodes,
 }
 
 ShuffleService::~ShuffleService() {
-  encoder_->Drain();  // in-flight encodes still Put into stores_
   for (int n = 0; n < num_nodes_; ++n) {
     UnregisterShuffleService(transport_, n, job_id_);
   }
 }
 
+SegmentEncodeStats ShuffleService::encode_stats() const {
+  MutexLock lock(stats_mu_);
+  return encode_stats_;
+}
+
 void ShuffleService::Publish(int map_task, int node,
-                             std::vector<std::string> segments) {
-  encoder_->Submit(
-      std::move(segments),
-      [this, map_task, node](EncodingPipeline::Encoded encoded) {
-        for (size_t p = 0; p < encoded.size(); ++p) {
-          stores_[node]->Put(map_task, static_cast<int>(p),
-                             std::move(encoded[p]));
-        }
-        // Only after every partition is stored: a fetcher woken by
-        // MarkDone must find its segment.
-        tracker_.MarkDone(map_task, node);
-      });
+                             const std::vector<std::string>& segments) {
+  SegmentEncodeStats total;
+  {
+    obs::LatencyTimer encode_time(options_.tracer, obs::kHCodecEncodeUs);
+    ByteBuffer scratch;
+    for (size_t p = 0; p < segments.size(); ++p) {
+      scratch.Clear();
+      SegmentEncodeStats stats;
+      EncodeShuffleSegment(Slice(segments[p]), *options_.codec,
+                           options_.block_bytes, &scratch, &stats);
+      std::shared_ptr<std::string> buf =
+          BufferPool::Global()->Acquire(scratch.size());
+      if (scratch.size() != 0) {
+        std::memcpy(buf->data(), scratch.data(), scratch.size());
+      }
+      stores_[node]->Put(map_task, static_cast<int>(p), std::move(buf));
+      total.raw_bytes += stats.raw_bytes;
+      total.wire_bytes += stats.wire_bytes;
+      total.blocks += stats.blocks;
+      total.compressed_blocks += stats.compressed_blocks;
+    }
+  }
+  {
+    MutexLock lock(stats_mu_);
+    encode_stats_.raw_bytes += total.raw_bytes;
+    encode_stats_.wire_bytes += total.wire_bytes;
+    encode_stats_.blocks += total.blocks;
+    encode_stats_.compressed_blocks += total.compressed_blocks;
+  }
+  // Only after every partition is stored: a fetcher woken by MarkDone
+  // must find its segment.
+  tracker_.MarkDone(map_task, node);
 }
 
 ShuffleService::Fetch::~Fetch() {

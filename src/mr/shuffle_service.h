@@ -28,9 +28,9 @@
 #include "concurrency/bounded_queue.h"
 #include "concurrency/thread_pool.h"
 #include "faults/fault_injector.h"
-#include "mr/encoding_pipeline.h"
 #include "mr/map_output.h"
 #include "mr/record_batch.h"
+#include "mr/segment_codec.h"
 #include "mr/shuffle.h"
 #include "net/transport.h"
 #include "obs/metric_names.h"
@@ -137,9 +137,6 @@ struct ShuffleOptions {
   const Codec* codec = nullptr;
   /// Raw bytes per compression block (`shuffle.block_bytes` knob).
   size_t block_bytes = kDefaultShuffleBlockBytes;
-  /// Async encoder tuning (see mr/encoding_pipeline.h).
-  size_t encoder_window_bytes = 8 << 20;
-  int encoder_threads = 2;
 };
 
 class ShuffleService {
@@ -173,20 +170,18 @@ class ShuffleService {
   MapOutputStore& store(int node) { return *stores_[node]; }
   /// The resolved block codec ("none" unless configured otherwise).
   const Codec& codec() const { return *options_.codec; }
-  /// Aggregate encode stats of every Publish drained so far (the
+  /// Aggregate encode stats of every Publish that has returned (the
   /// engine exports them as the bmr_codec_* gauges at job end).
-  SegmentEncodeStats encode_stats() const { return encoder_->stats(); }
+  SegmentEncodeStats encode_stats() const BMR_EXCLUDES(stats_mu_);
 
   /// Publish one committed map attempt's per-partition segments from
-  /// `node`: the raw record streams are handed to the async encoding
-  /// pipeline, and the task is marked fetchable once its encoded
-  /// segments are in the store — so compression overlaps map execution
-  /// and fetchers can never observe a half-encoded task.
-  void Publish(int map_task, int node, std::vector<std::string> segments);
-
-  /// Block until every Publish so far is encoded, stored and marked
-  /// done (tests and benchmarks; the destructor drains implicitly).
-  void DrainPublishes() { encoder_->Drain(); }
+  /// `node`, on the calling (map) thread: each raw record stream is
+  /// encoded into the block container and stored, and the task is
+  /// marked fetchable only after its last partition is in the store —
+  /// so a fetcher never observes a half-published task.  When Publish
+  /// returns the task is fetchable and counted in encode_stats().
+  void Publish(int map_task, int node, const std::vector<std::string>& segments)
+      BMR_EXCLUDES(stats_mu_);
 
   /// One reducer's in-flight fetch: per-mapper threads delivering into
   /// `sink`.  The sink is registered for job-failure cancellation for
@@ -266,9 +261,10 @@ class ShuffleService {
   Options options_;
   MapOutputTracker tracker_;
   std::vector<std::unique_ptr<MapOutputStore>> stores_;
-  // After stores_: the pipeline's destructor drains in-flight encodes
-  // (which Put into stores_) before the stores can die.
-  std::unique_ptr<EncodingPipeline> encoder_;
+
+  // Leaf lock: held only to add one Publish's totals.
+  mutable Mutex stats_mu_;
+  SegmentEncodeStats encode_stats_ BMR_GUARDED_BY(stats_mu_);
 
   OrderedMutex sinks_mu_{"mr.shuffle.sinks"};
   std::vector<FetchEntry> live_sinks_ BMR_GUARDED_BY(sinks_mu_);

@@ -35,40 +35,35 @@ class MapCtx final : public MapContext {
 
 }  // namespace
 
-/// Concrete ReduceContext: buffers output records.
+/// Concrete ReduceContext: frames each output record straight into
+/// the part file's bytes, in the job's output format.
 class ReduceTaskContext final : public ReduceContext {
  public:
-  ReduceTaskContext(const Config& config, Counters* counters)
-      : config_(config), counters_(counters) {}
+  ReduceTaskContext(const Config& config, Counters* counters,
+                    OutputFormat format)
+      : config_(config), counters_(counters), format_(format) {}
 
   void Emit(Slice key, Slice value) override {
-    out_.emplace_back(key.ToString(), value.ToString());
+    if (format_ == OutputFormat::kTextTsv) {
+      AppendTsvRecord(&out_, key, value);
+    } else {
+      AppendFramedRecord(&out_, key, value);
+    }
+    ++records_;
   }
   const Config& config() const override { return config_; }
   Counters* counters() override { return counters_; }
 
-  std::vector<Record>& records() { return out_; }
+  Slice output() const { return out_.AsSlice(); }
+  uint64_t records() const { return records_; }
 
  private:
-  std::vector<Record> out_;
+  ByteBuffer out_;
+  uint64_t records_ = 0;
   const Config& config_;
   Counters* counters_;
+  OutputFormat format_;
 };
-
-namespace {
-
-/// ReduceEmitter adapter over ReduceTaskContext for the barrier-less
-/// driver.
-class CtxEmitter final : public ReduceEmitter {
- public:
-  explicit CtxEmitter(ReduceTaskContext* ctx) : ctx_(ctx) {}
-  void Emit(Slice key, Slice value) override { ctx_->Emit(key, value); }
-
- private:
-  ReduceTaskContext* ctx_;
-};
-
-}  // namespace
 
 void MapTaskExecutor::Execute(TaskScheduler::Attempt attempt) {
   if (control_->cancelled()) return;
@@ -117,8 +112,7 @@ void MapTaskExecutor::Execute(TaskScheduler::Attempt attempt) {
 
   // Barrier-less mode bypasses the sort (§3.1) — unless a combiner is
   // configured, which needs sorted runs to group keys at the mapper.
-  bool sort = spec_.combiner ? true
-                             : (spec_.barrierless ? false : spec_.map_side_sort);
+  bool sort = spec_.combiner || !spec_.barrierless;
   std::unique_ptr<Combiner> combiner;
   if (spec_.combiner) combiner = spec_.combiner();
   auto finished = collector.Finish(sort, spec_.sort_cmp, combiner.get());
@@ -143,8 +137,7 @@ void MapTaskExecutor::Execute(TaskScheduler::Attempt attempt) {
     metrics_->RecordEvent(Phase::kMap, attempt.task, attempt.node, start,
                           metrics_->Now());
     metrics_->NoteMapDone();
-    shuffle_->Publish(attempt.task, attempt.node,
-                      std::move(finished->segments));
+    shuffle_->Publish(attempt.task, attempt.node, finished->segments);
   } else {
     local.Add(kCtrMapAttemptsDiscarded, 1);
   }
@@ -174,7 +167,7 @@ void ReduceTaskExecutor::Execute(int r, int node) {
     // job's totals.  Recovery counters go through metrics_ directly so
     // they survive the discard.
     Counters local;
-    ReduceTaskContext ctx(spec_.config, &local);
+    ReduceTaskContext ctx(spec_.config, &local, spec_.output_format);
     // One span per attempt: a restarted reducer shows as separate bars.
     obs::ScopedSpan task_span(metrics_->tracer(), obs::kSpanReduceTask,
                               "task", r);
@@ -182,11 +175,13 @@ void ReduceTaskExecutor::Execute(int r, int node) {
                                   : RunBarrier(r, node, &ctx);
     if (control_->cancelled()) return;
     if (st.ok()) {
-      local.Add(kCtrReduceOutputRecords, ctx.records().size());
-      metrics_->MergeCounters(local);
       double out_start = metrics_->Now();
-      st = WriteOutput(r, node, ctx.records());
+      st = WriteOutput(r, node, ctx.output());
       if (st.ok()) {
+        // Merged only once the part file is written: a failed write
+        // restarts the attempt, which counts everything again.
+        local.Add(kCtrReduceOutputRecords, ctx.records());
+        metrics_->MergeCounters(local);
         metrics_->RecordEvent(Phase::kOutput, r, node, out_start,
                               metrics_->Now());
         return;
@@ -244,20 +239,7 @@ Status ReduceTaskExecutor::RunBarrier(int r, int node,
   {
     obs::ScopedSpan sort_span(metrics_->tracer(), obs::kSpanReduceSort,
                               "reduce", r);
-    if (spec_.map_side_sort) {
-      records = MergeSortedRuns(std::move(runs), spec_.sort_cmp);
-    } else {
-      for (auto& run : runs) {
-        records.insert(records.end(), std::make_move_iterator(run.begin()),
-                       std::make_move_iterator(run.end()));
-      }
-      const KeyCompareFn& cmp = spec_.sort_cmp;
-      std::stable_sort(records.begin(), records.end(),
-                       [&cmp](const Record& a, const Record& b) {
-                         return cmp ? cmp(Slice(a.key), Slice(b.key)) < 0
-                                    : a.key < b.key;
-                       });
-    }
+    records = MergeSortedRuns(std::move(runs), spec_.sort_cmp);
   }
   double sort_done = metrics_->Now();
   metrics_->RecordEvent(Phase::kSortMerge, r, node, barrier_time, sort_done);
@@ -314,7 +296,6 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
   if (store_config.tracer == nullptr) store_config.tracer = tracer;
   auto reducer = spec_.incremental();
   core::BarrierlessDriver driver(reducer.get(), store_config, spec_.config);
-  CtxEmitter emitter(ctx);
   // Memoization: seed the store from the previous run's snapshot.
   if (spec_.session != nullptr) {
     if (const auto* snapshot = spec_.session->Get(r)) {
@@ -340,7 +321,7 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
     obs::ScopedSpan drain_span(tracer, obs::kSpanReduceBatch, "reduce", r);
     for (const RecordBatch& batch : batches) {
       for (const RecordBatch::Entry& entry : batch) {
-        Status st = driver.Consume(entry.key, entry.value, &emitter);
+        Status st = driver.Consume(entry.key, entry.value, ctx);
         if (!st.ok()) {
           metrics_->SampleMemory(r, driver.MemoryBytes());
           consume_st = st;
@@ -372,7 +353,7 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
   ctx->counters()->Add(kCtrReduceInputRecords, driver.records_consumed());
   std::vector<Record> snapshot;
   Status st = driver.Finalize(
-      &emitter, spec_.session != nullptr ? &snapshot : nullptr);
+      ctx, spec_.session != nullptr ? &snapshot : nullptr);
   if (st.ok() && spec_.session != nullptr) {
     spec_.session->Save(r, std::move(snapshot));
   }
@@ -389,8 +370,7 @@ Status ReduceTaskExecutor::RunBarrierless(int r, int node,
   return Status::Ok();
 }
 
-Status ReduceTaskExecutor::WriteOutput(int r, int node,
-                                       const std::vector<Record>& records) {
+Status ReduceTaskExecutor::WriteOutput(int r, int node, Slice output) {
   obs::ScopedSpan out_span(metrics_->tracer(), obs::kSpanOutputWrite, "task",
                            r);
   obs::LatencyTimer out_latency(metrics_->tracer(), obs::kHOutputWriteUs);
@@ -403,19 +383,13 @@ Status ReduceTaskExecutor::WriteOutput(int r, int node,
   (void)deleted;
   auto writer = cluster_->client(node)->Create(path);
   if (!writer.ok()) return writer.status();
-  ByteBuffer buf;
-  for (const Record& rec : records) {
-    if (spec_.output_format == OutputFormat::kTextTsv) {
-      AppendTsvRecord(&buf, Slice(rec.key), Slice(rec.value));
-    } else {
-      AppendFramedRecord(&buf, Slice(rec.key), Slice(rec.value));
-    }
-    if (buf.size() >= (1 << 20)) {
-      BMR_RETURN_IF_ERROR((*writer)->Append(buf.AsSlice()));
-      buf.Clear();
-    }
+  // At most 1 MiB per Append: the writer shifts its unflushed remainder
+  // down after every block, so one huge Append would be quadratic.
+  constexpr size_t kAppendBytes = 1 << 20;
+  for (size_t off = 0; off < output.size(); off += kAppendBytes) {
+    size_t n = std::min(kAppendBytes, output.size() - off);
+    BMR_RETURN_IF_ERROR((*writer)->Append(Slice(output.data() + off, n)));
   }
-  BMR_RETURN_IF_ERROR((*writer)->Append(buf.AsSlice()));
   BMR_RETURN_IF_ERROR((*writer)->Close());
   metrics_->NoteOutputFile(std::move(path));
   return Status::Ok();

@@ -77,7 +77,7 @@ class ReduceTaskExecutor {
  private:
   [[nodiscard]] Status RunBarrier(int r, int node, ReduceTaskContext* ctx);
   [[nodiscard]] Status RunBarrierless(int r, int node, ReduceTaskContext* ctx);
-  [[nodiscard]] Status WriteOutput(int r, int node, const std::vector<Record>& records);
+  [[nodiscard]] Status WriteOutput(int r, int node, Slice output);
 
   ClusterContext* cluster_;
   const JobSpec& spec_;

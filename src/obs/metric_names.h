@@ -43,10 +43,11 @@ inline constexpr const char* kHNetConnectUs = "bmr_net_connect_us";
 /// One frame cut + decoded off a connection's read buffer, event-loop
 /// side of the TCP transport.
 inline constexpr const char* kHNetFrameDecodeUs = "bmr_net_frame_decode_us";
-/// One reducer part-file write (serialize + DFS append + close).
+/// One reducer part-file write (DFS append + close of the bytes the
+/// reduce context framed at Emit).
 inline constexpr const char* kHOutputWriteUs = "bmr_output_write_us";
 /// One map attempt's segments through the block codec (all partitions,
-/// async encoder thread — see mr/encoding_pipeline.h).
+/// on the committing map thread — see ShuffleService::Publish).
 inline constexpr const char* kHCodecEncodeUs = "bmr_codec_encode_us";
 /// One fetched segment's checksum verify + decompress, fetcher thread.
 inline constexpr const char* kHCodecDecodeUs = "bmr_codec_decode_us";

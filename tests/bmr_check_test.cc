@@ -427,6 +427,40 @@ class Loop { ThreadPool pool_{1}; };
   EXPECT_NE(fs[0].message.find("net/transport.h"), std::string::npos);
 }
 
+TEST(Layering, FaultsInternalHeaderIsPrivateToFaults) {
+  std::vector<FileContent> bad = {{"src/mr/bad.cc", R"cc(
+#include "faults/internal.h"
+)cc"}};
+  auto fs = Of(RunCheck(bad, "layering"), "layering");
+  ASSERT_EQ(fs.size(), 1u) << FormatFindings(fs);
+  EXPECT_NE(fs[0].message.find("faults/internal.h"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("faults/fault_injector.h"), std::string::npos);
+
+  std::vector<FileContent> ok = {
+      {"src/mr/ok.cc", "#include \"faults/fault_injector.h\"\n"},
+      {"src/faults/fault_injector.cc", "#include \"faults/internal.h\"\n"},
+  };
+  auto clean = Of(RunCheck(ok, "layering"), "layering");
+  EXPECT_TRUE(clean.empty()) << FormatFindings(clean);
+}
+
+TEST(Layering, OnlyTheTransportInterfaceLeavesNet) {
+  std::vector<FileContent> bad = {{"src/service/bad.cc", R"cc(
+#include "net/tcp_transport.h"
+)cc"}};
+  auto fs = Of(RunCheck(bad, "layering"), "layering");
+  ASSERT_EQ(fs.size(), 1u) << FormatFindings(fs);
+  EXPECT_NE(fs[0].message.find("net/tcp_transport.h"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("net/transport.h"), std::string::npos);
+
+  std::vector<FileContent> ok = {
+      {"src/mr/ok.cc", "#include \"net/transport.h\"\n"},
+      {"src/net/transport.cc", "#include \"net/tcp_transport.h\"\n"},
+  };
+  auto clean = Of(RunCheck(ok, "layering"), "layering");
+  EXPECT_TRUE(clean.empty()) << FormatFindings(clean);
+}
+
 // ---- suppression ---------------------------------------------------
 
 TEST(Suppression, AllowWithReasonSilencesFinding) {

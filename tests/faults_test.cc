@@ -1,7 +1,8 @@
 // Fault-injection subsystem tests: FaultPlan determinism and bounds,
 // FaultInjector hook semantics, and engine-level recovery regressions
 // (map re-execution after node death, reopened-commit accounting,
-// reducer restart after consuming a lost attempt).
+// reducer restart after consuming a lost attempt or failing its output
+// write).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -342,6 +343,37 @@ TEST(EngineRecoveryTest, FetchTimeoutsAreRetriedNotFatal) {
   cluster->InstallFaultInjector(nullptr);
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(injector.injected(FaultKind::kFetchTimeout), 3u);
+}
+
+TEST(EngineRecoveryTest, FailedOutputWriteRestartCountsTheTaskOnce) {
+  // A dropped nn.add_block fails the first part-file write; the reduce
+  // task restarts and redoes everything.  The failed attempt's counters
+  // must not reach the job's totals: every reduce counter reads as if
+  // the task had run once.
+  for (bool barrierless : {false, true}) {
+    SCOPED_TRACE(barrierless ? "barrier-less" : "barrier");
+    auto cluster = MakeTestCluster(3);
+    auto files = MakeWordCountInput(cluster.get());
+    FaultEvent drop;
+    drop.kind = FaultKind::kRpcDrop;
+    drop.method_prefix = "nn.add_block";
+    drop.after_calls = 0;
+    drop.count = 1;
+    FaultInjector injector(ScriptedPlan({drop}));
+    cluster->InstallFaultInjector(&injector);
+    mr::JobRunner runner(cluster.get());
+    mr::JobResult result =
+        runner.Run(WordCountSpec(files, "/out", barrierless));
+    cluster->InstallFaultInjector(nullptr);
+    ASSERT_TRUE(result.ok()) << result.status;
+    EXPECT_EQ(injector.injected(FaultKind::kRpcDrop), 1u);
+    EXPECT_EQ(result.counters.Get(mr::kCtrReduceTaskRestarts), 1u);
+    EXPECT_EQ(result.counters.Get(mr::kCtrReduceInputRecords),
+              result.counters.Get(mr::kCtrMapOutputRecords));
+    auto out = mr::JobRunner::ReadAllOutput(cluster->client(0), result);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(result.counters.Get(mr::kCtrReduceOutputRecords), out->size());
+  }
 }
 
 TEST(EngineRecoveryTest, InjectedFaultsAppearInCountersAndTimeline) {

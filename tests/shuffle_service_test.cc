@@ -1,6 +1,7 @@
 // ShuffleService unit tests: barrier and FIFO sinks fed by the same
 // fetch machinery, RAII sink registration (the Fail/FIFO-close race
-// fix), and job-scoped segment stores keeping concurrent jobs apart.
+// fix), job-scoped segment stores keeping concurrent jobs apart, and
+// Publish leaving its task fetchable and counted when it returns.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "mr/map_output.h"
@@ -181,8 +183,6 @@ TEST(ShuffleServiceTest, ConcurrentJobsKeepSeparateSegmentStores) {
   // Same (map_task, partition, node) coordinates in both jobs.
   job_a.Publish(0, 1, {"segment-of-job-a"});
   job_b.Publish(0, 1, {"segment-of-job-b"});
-  job_a.DrainPublishes();
-  job_b.DrainPublishes();
 
   // Publish encodes into the block container: fetch the wire bytes and
   // decode back to the raw payload to compare.
@@ -198,12 +198,55 @@ TEST(ShuffleServiceTest, ConcurrentJobsKeepSeparateSegmentStores) {
   EXPECT_EQ(*raw, "segment-of-job-b");
 }
 
+TEST(ShuffleServiceTest, PublishIsFetchableAndCountedOnReturn) {
+  // Publish encodes and stores on the calling thread: the moment it
+  // returns, the task is done, every partition fetches and decodes to
+  // its raw bytes, and the encode stats count it.  No drain, no wait.
+  for (const char* name : {"none", "lz4"}) {
+    SCOPED_TRACE(name);
+    auto codec = FindCodec(name);
+    ASSERT_TRUE(codec.ok()) << codec.status();
+    auto transport = testutil::MakeTransport(3);
+    ShuffleOptions options;
+    options.codec = *codec;
+    options.block_bytes = 1 << 10;  // several blocks per partition
+    ShuffleService service(transport.get(), 3, /*num_map_tasks=*/1,
+                           /*job_id=*/12, options);
+    // Partition 0 spans several blocks and compresses under lz4,
+    // partition 1 is empty, partition 2 is a framed record stream.
+    std::string pattern;
+    for (int i = 0; i < 5000; ++i) pattern.push_back('a' + i % 7);
+    std::vector<std::string> raw = {pattern, "",
+                                    MakeSegment({{"k", "v"}, {"w", "x"}})};
+    uint64_t raw_total = 0;
+    for (const std::string& segment : raw) raw_total += segment.size();
+
+    service.Publish(0, /*node=*/1, raw);
+
+    EXPECT_EQ(service.tracker().num_done(), 1);
+    uint64_t wire_total = 0;
+    for (size_t p = 0; p < raw.size(); ++p) {
+      std::string segment;
+      std::shared_ptr<const std::string> decoded;
+      ASSERT_TRUE(FetchSegment(transport.get(), 1, 2, 0, static_cast<int>(p),
+                               &segment, /*job_id=*/12)
+                      .ok());
+      ASSERT_TRUE(DecodeShuffleSegment(Slice(segment), &decoded).ok());
+      EXPECT_EQ(*decoded, raw[p]) << "partition " << p;
+      wire_total += segment.size();
+    }
+    SegmentEncodeStats stats = service.encode_stats();
+    EXPECT_EQ(stats.raw_bytes, raw_total);
+    EXPECT_EQ(stats.wire_bytes, wire_total);
+    EXPECT_GT(stats.blocks, raw.size());
+  }
+}
+
 TEST(ShuffleServiceTest, DestructionUnregistersTheJobsFetchHandler) {
   auto transport = testutil::MakeTransport(2);
   {
     ShuffleService service(transport.get(), 2, 1, /*job_id=*/3);
     service.Publish(0, 1, {"bytes"});
-    service.DrainPublishes();
     std::string segment;
     ASSERT_TRUE(FetchSegment(transport.get(), 1, 0, 0, 0, &segment, 3).ok());
   }

@@ -732,6 +732,18 @@ void CheckLayering(Ctx* ctx) {
   const std::string kCheck = "layering";
   static const std::set<std::string> kCoreExceptions = {"mr/types.h",
                                                         "mr/emitter.h"};
+  // Headers private to their own directory, each paired with the
+  // header every other directory includes instead; "<dir>/*" makes all
+  // of the directory's headers private but that one.
+  static const std::vector<std::pair<std::string, std::string>>
+      kPrivateHeaders = {
+          // The injector's event-matching machinery: hook sites use
+          // the public FaultInjector surface.
+          {"faults/internal.h", "faults/fault_injector.h"},
+          // Concrete transports and wire internals: code above the
+          // wire must not observe which transport it runs on.
+          {"net/*", "net/transport.h"},
+      };
   // -- direction violations -----------------------------------------
   for (const Pf& f : ctx->files) {
     if (f.dir.empty()) continue;
@@ -747,6 +759,15 @@ void CheckLayering(Ctx* ctx) {
       size_t slash = inc.target.find('/');
       if (slash == std::string::npos) continue;
       std::string target_dir = inc.target.substr(0, slash);
+      for (const auto& [priv, pub] : kPrivateHeaders) {
+        if (f.dir == target_dir || inc.target == pub) continue;
+        if (priv == inc.target || priv == target_dir + "/*") {
+          ctx->Report(kCheck, f, inc.line,
+                      "includes \"" + inc.target + "\", private to src/" +
+                          target_dir + "/ — include \"" + pub +
+                          "\" instead");
+        }
+      }
       if (AllowedDeps().find(target_dir) == AllowedDeps().end()) continue;
       if (allowed_it->second.count(target_dir) > 0) continue;
       if (f.dir == "core" && kCoreExceptions.count(inc.target) > 0) continue;

@@ -14,8 +14,11 @@
 //                    must stay acyclic, transitively, before any test
 //                    runs.  Self-acquisition is flagged too.
 //   layering         a real include graph: direction violations against
-//                    the dependency DAG, include cycles among project
-//                    headers, and headers included but never referenced.
+//                    the dependency DAG, includes of headers private to
+//                    another directory (faults/internal.h; every net/
+//                    header but net/transport.h), include cycles among
+//                    project headers, and headers included but never
+//                    referenced.
 //   status-discard   a call to a Status/StatusOr returner used as a bare
 //                    expression statement in a .cc file silently drops
 //                    the error ([[nodiscard]] only fires when the
